@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race bench bench-sim bench-check fuzz smoke directed-smoke sharedstate-smoke overload-smoke soak-smoke
+.PHONY: build test vet race bench bench-smoke bench-sim bench-check fuzz smoke directed-smoke sharedstate-smoke overload-smoke soak-smoke
 
 build:
 	$(GO) build ./...
@@ -21,6 +21,13 @@ race:
 bench:
 	$(GO) test -bench . -benchtime 1x ./...
 
+# bench-smoke builds and smoke-tests the performance ledger. bench/ is a
+# module of its own, outside `go build ./...`, so nothing else notices when a
+# refactor breaks what it imports.
+bench-smoke:
+	$(GO) vet -C bench .
+	$(GO) test -C bench ./...
+
 # bench-sim regenerates BENCH_sim.json: synthetic SWF replays at 2k/10k/
 # 100k nodes on the legacy and sharded kernels, each case in a fresh child
 # process for honest peak-RSS numbers.
@@ -39,6 +46,7 @@ bench-check:
 fuzz:
 	$(GO) test ./internal/transport/ -fuzz FuzzReadMessage -fuzztime 30s
 	$(GO) test ./internal/transport/ -fuzz FuzzFrameCorruption -fuzztime 30s
+	$(GO) test ./internal/transport/ -fuzz FuzzCodecDifferential -fuzztime 30s
 	$(GO) test ./internal/wal/ -fuzz FuzzDecodeRecords -fuzztime 30s
 	$(GO) test ./internal/wal/ -fuzz FuzzDecodeState -fuzztime 30s
 	$(GO) test ./internal/directory/ -fuzz FuzzDecodeDigests -fuzztime 30s

@@ -22,6 +22,7 @@ import (
 	aria "github.com/smartgrid/aria"
 	"github.com/smartgrid/aria/internal/baseline"
 	"github.com/smartgrid/aria/internal/core"
+	"github.com/smartgrid/aria/internal/directory"
 	"github.com/smartgrid/aria/internal/job"
 	"github.com/smartgrid/aria/internal/overlay"
 	"github.com/smartgrid/aria/internal/resource"
@@ -347,34 +348,59 @@ func BenchmarkNALOffer(b *testing.B) {
 	}
 }
 
-// BenchmarkMessageCodec measures the TCP wire codec round trip.
+// BenchmarkMessageCodec measures the TCP wire codec round trip — frame into
+// a reused buffer, read back — for the frames a live grid sends most, and
+// reports each one's size on the wire beside the paper's modelled 1 KiB
+// (REQUEST, COMMIT) and 128 B (ACCEPT, PING) that Message.WireSize keeps.
 func BenchmarkMessageCodec(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
-	m := core.Message{
-		Type: core.MsgRequest,
-		From: 7,
-		Job: job.Profile{
-			UUID: job.NewUUID(rng),
-			Req: resource.Requirements{
-				Arch: resource.ArchAMD64, OS: resource.OSLinux,
-				MinMemoryGB: 2, MinDiskGB: 2,
-			},
-			ERT:   2 * time.Hour,
-			Class: job.ClassBatch,
+	p := job.Profile{
+		UUID: job.NewUUID(rng),
+		Req: resource.Requirements{
+			Arch: resource.ArchAMD64, OS: resource.OSLinux,
+			MinMemoryGB: 2, MinDiskGB: 2,
 		},
-		TTL: 8, Fanout: 4, Seq: 1,
+		ERT:         2 * time.Hour,
+		Class:       job.ClassBatch,
+		SubmittedAt: 90 * time.Second,
 	}
-	var buf bytes.Buffer
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if err := transport.WriteMessage(&buf, m); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := transport.ReadMessage(&buf); err != nil {
-			b.Fatal(err)
-		}
+	var digests []directory.Digest
+	for i := 1; i <= 4; i++ {
+		digests = append(digests, directory.Digest{
+			Node:    overlay.NodeID(i),
+			Profile: resource.Profile{Arch: resource.ArchAMD64, OS: resource.OSLinux, MemoryGB: 16, DiskGB: 16, PerfIndex: 1 + rng.Float64()*0.99},
+			Load:    i,
+		})
+	}
+	cases := []struct {
+		name string
+		msg  core.Message
+	}{
+		{"REQUEST", core.Message{Type: core.MsgRequest, From: 7, Job: p, TTL: 8, Fanout: 4, Seq: 1, Via: 5, Hop: 2, Span: 7<<32 | 1}},
+		{"ACCEPT", core.Message{Type: core.MsgAccept, From: 9, Job: p, Cost: 1234.5, Span: 9<<32 | 1}},
+		{"PING+4digests", core.Message{Type: core.MsgPing, From: 7, Seq: 5, Peers: []overlay.NodeID{1, 2, 4, 8}, Dir: directory.Encode(digests)}},
+		{"COMMIT", core.Message{Type: core.MsgCommit, From: 7, Job: p, Inc: 2, Span: 7<<32 | 2}},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			var buf bytes.Buffer
+			if err := transport.WriteMessage(&buf, c.msg); err != nil {
+				b.Fatal(err)
+			}
+			frameBytes := buf.Len()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf.Reset()
+				if err := transport.WriteMessage(&buf, c.msg); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := transport.ReadMessage(&buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(frameBytes), "bytes/frame")
+		})
 	}
 }
 

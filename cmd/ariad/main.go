@@ -451,9 +451,15 @@ func publishDebugVars() {
 		}))
 		// aria.wire counts inbound protocol frames the codec refused, by
 		// reason — the soak's proof that injected wire corruption was both
-		// delivered and cleanly rejected.
+		// delivered and cleanly rejected — plus the outbound frames this
+		// daemon dropped before the socket (sendInvalid: the message failed
+		// validation; sendOverflow: the peer's send queue was full).
 		expvar.Publish("aria.wire", expvar.Func(func() interface{} {
-			return transport.WireRejects()
+			wire := transport.WireRejects()
+			for reason, n := range transport.WireSendDrops() {
+				wire[reason] = n
+			}
+			return wire
 		}))
 		// aria.walfaults counts injected disk faults when -wal-*-pct flags
 		// armed the fault store (empty map otherwise).

@@ -19,6 +19,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/smartgrid/aria/internal/job"
 	"github.com/smartgrid/aria/internal/overlay"
@@ -226,14 +227,22 @@ func (m Message) Validate() error {
 	if !m.Type.Valid() {
 		return fmt.Errorf("invalid message type %d", int(m.Type))
 	}
-	// Membership probes carry no job; every protocol message does.
-	if m.Type != MsgPing && m.Type != MsgPong {
-		if err := m.Job.Validate(); err != nil {
-			return fmt.Errorf("%s message: %w", m.Type, err)
+	// Membership probes carry no job (the wire layout has no room for one);
+	// every protocol message does.
+	if m.Type == MsgPing || m.Type == MsgPong {
+		if m.Job != (job.Profile{}) {
+			return fmt.Errorf("%s message carries a job", m.Type)
 		}
+	} else if err := m.Job.Validate(); err != nil {
+		return fmt.Errorf("%s message: %w", m.Type, err)
 	}
 	if m.Hop < 0 {
 		return fmt.Errorf("%s message with negative hop count %d", m.Type, m.Hop)
+	}
+	// A NaN or infinite cost orders against nothing; refusing it here keeps
+	// it off the wire (senders validate before queuing a frame).
+	if c := float64(m.Cost); math.IsNaN(c) || math.IsInf(c, 0) {
+		return fmt.Errorf("%s message with non-finite cost %v", m.Type, c)
 	}
 	switch m.Type {
 	case MsgRequest, MsgInform:

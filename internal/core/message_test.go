@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -9,6 +10,7 @@ import (
 
 	"github.com/smartgrid/aria/internal/job"
 	"github.com/smartgrid/aria/internal/resource"
+	"github.com/smartgrid/aria/internal/sched"
 )
 
 func testProfile(rng *rand.Rand) job.Profile {
@@ -99,6 +101,9 @@ func TestMessageValidate(t *testing.T) {
 		{"notify without kind", Message{Type: MsgNotify, Job: p}},
 		{"busy without re", Message{Type: MsgBusy, Job: p}},
 		{"busy re non-sheddable type", Message{Type: MsgBusy, Job: p, Re: MsgInform}},
+		{"NaN cost", Message{Type: MsgAccept, Job: p, Cost: sched.Cost(math.NaN())}},
+		{"infinite cost", Message{Type: MsgInform, Job: p, TTL: 3, Fanout: 2, Cost: sched.Cost(math.Inf(-1))}},
+		{"probe with a job", Message{Type: MsgPing, From: 1, Job: p}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -34,13 +34,19 @@ func NewUUID(rng *rand.Rand) UUID {
 	return UUID(hex.EncodeToString(b[:]))
 }
 
-// Valid reports whether u is a well-formed job identifier.
+// Valid reports whether u is a well-formed job identifier: exactly the 32
+// lower-case hex digits NewUUID renders, so the 16 raw bytes the wire carries
+// decode back to the identical string.
 func (u UUID) Valid() bool {
 	if len(u) != 32 {
 		return false
 	}
-	_, err := hex.DecodeString(string(u))
-	return err == nil
+	for i := 0; i < len(u); i++ {
+		if c := u[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }
 
 // Short returns an abbreviated form for logs.

@@ -49,6 +49,8 @@ func TestUUIDValidRejects(t *testing.T) {
 		{"abc", false},
 		{"zzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzz", false},
 		{"0123456789abcdef0123456789abcdef", true},
+		// Upper case would not survive the wire's 16 raw bytes unchanged.
+		{"0123456789ABCDEF0123456789abcdef", false},
 	}
 	for _, tt := range tests {
 		if got := tt.give.Valid(); got != tt.want {

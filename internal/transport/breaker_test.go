@@ -119,23 +119,13 @@ func TestTCPBreakerOpensAndRecovers(t *testing.T) {
 	_ = probe.Close()
 
 	var unreachable atomic.Int32
-	env := &tcpEnv{
-		start:     time.Now(),
-		id:        1,
-		peers:     map[overlay.NodeID]string{2: addr},
-		neighbors: []overlay.NodeID{2},
-		rng:       rand.New(rand.NewSource(7)),
-		jrng:      rand.New(rand.NewSource(8)),
-		conns:     make(map[overlay.NodeID]*peerConn),
-	}
+	env := newPeerEnv(addr, 7)
 	env.onUnreachable = func(overlay.NodeID) { unreachable.Add(1) }
-	defer env.closeConns()
+	defer env.close()
 
 	// Install a breaker with a test-scale cooldown in place of the default.
 	br := newBreaker(2, 200*time.Millisecond)
-	env.mu.Lock()
-	env.breakers = map[overlay.NodeID]*breaker{2: br}
-	env.mu.Unlock()
+	peerOf(env).br = br
 
 	rng := rand.New(rand.NewSource(9))
 	msg := core.Message{

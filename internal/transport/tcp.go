@@ -1,10 +1,13 @@
 package transport
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/smartgrid/aria/internal/core"
@@ -56,21 +59,52 @@ func (c TCPConfig) Validate() error {
 // Wire hardening parameters. Dials retry with doubling, jittered backoff
 // (clamped to tcpDialBackoffCap) so a peer restarting on the same address is
 // reached without losing the message; writes carry a deadline so one stalled
-// peer cannot pin sender goroutines forever. After tcpBreakerThreshold
-// consecutive send failures a peer's circuit breaker opens and sends to it
-// fast-fail for tcpBreakerCooldown before a probe is let through.
+// peer cannot pin its flusher forever, and at most peerQueueBytes of frames
+// wait behind it. After tcpBreakerThreshold consecutive send failures a
+// peer's circuit breaker opens and sends to it fast-fail for
+// tcpBreakerCooldown before a probe is let through.
 const (
 	tcpDialTimeout      = 2 * time.Second
 	tcpDialAttempts     = 3
 	tcpDialBackoff      = 50 * time.Millisecond
 	tcpDialBackoffCap   = 2 * time.Second
-	tcpWriteDeadline    = 2 * time.Second
 	tcpBreakerThreshold = 3
 	tcpBreakerCooldown  = 5 * time.Second
+
+	// peerQueueBytes bounds the encoded frames queued for one peer (a few
+	// thousand frames: seconds of traffic on a busy link). A frame that
+	// would push a non-empty queue past it is dropped and counted, like
+	// any lost datagram.
+	peerQueueBytes = 256 << 10
 )
 
+var errEnvClosed = errors.New("transport closed")
+
+// tcpWriteDeadline bounds one write of queued frames. Var, not const, so
+// tests can shorten it.
+var tcpWriteDeadline = 2 * time.Second
+
+// wireSendDrops counts frames this process refused to put on the wire, by
+// reason. They are local decisions, distinct from WireRejects (inbound
+// frames refused).
+var wireSendDrops struct {
+	invalid  atomic.Uint64
+	overflow atomic.Uint64
+}
+
+// WireSendDrops snapshots the process-wide counts of outbound frames dropped
+// before the socket: messages that failed validation ("sendInvalid") and
+// frames that met a full per-peer queue ("sendOverflow").
+func WireSendDrops() map[string]uint64 {
+	return map[string]uint64{
+		"sendInvalid":  wireSendDrops.invalid.Load(),
+		"sendOverflow": wireSendDrops.overflow.Load(),
+	}
+}
+
 // TCPNode hosts one protocol node behind a TCP listener, dialing peers on
-// demand with a small connection cache. Messages are length-prefixed JSON.
+// demand and keeping one connection and one ordered send queue per peer.
+// Messages are CRC-framed binary (see codec.go).
 type TCPNode struct {
 	node *core.Node
 	ln   net.Listener
@@ -99,18 +133,10 @@ func ListenTCP(
 	if err != nil {
 		return nil, fmt.Errorf("tcp node %v: %w", cfg.ID, err)
 	}
-	env := &tcpEnv{
-		start:     time.Now(),
-		id:        cfg.ID,
-		peers:     cfg.Peers,
-		neighbors: append([]overlay.NodeID(nil), cfg.Neighbors...),
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		jrng:      rand.New(rand.NewSource(cfg.Seed ^ 0x5dee7)),
-		conns:     make(map[overlay.NodeID]*peerConn),
-		breakers:  make(map[overlay.NodeID]*breaker),
-	}
+	env := newTCPEnv(cfg)
 	n, err := core.NewNode(cfg.ID, profile, policy, env, protoCfg, obs, art)
 	if err != nil {
+		env.close()
 		if cerr := ln.Close(); cerr != nil {
 			return nil, fmt.Errorf("%w (also closing listener: %v)", err, cerr)
 		}
@@ -147,7 +173,8 @@ func (t *TCPNode) SetFaults(lm *faults.LinkModel) {
 // Addr reports the bound listen address.
 func (t *TCPNode) Addr() string { return t.ln.Addr().String() }
 
-// Close stops the listener, kills the node, and waits for the accept loop.
+// Close stops the listener, kills the node, and waits for the accept loop,
+// the connection servers and every peer's flusher.
 func (t *TCPNode) Close() error {
 	t.mu.Lock()
 	if t.closed {
@@ -158,7 +185,7 @@ func (t *TCPNode) Close() error {
 	t.mu.Unlock()
 	err := t.ln.Close()
 	t.node.Kill()
-	t.env.closeConns()
+	t.env.close()
 	t.mu.Lock()
 	for conn := range t.inbound {
 		_ = conn.Close()
@@ -196,8 +223,9 @@ func (t *TCPNode) serveConn(conn net.Conn) {
 		t.mu.Unlock()
 		_ = conn.Close()
 	}()
+	fr := newFrameReader(conn)
 	for {
-		m, err := ReadMessage(conn)
+		m, err := fr.next()
 		if err != nil {
 			return // EOF or protocol violation: drop the connection
 		}
@@ -209,7 +237,6 @@ func (t *TCPNode) serveConn(conn net.Conn) {
 type tcpEnv struct {
 	start time.Time
 	id    overlay.NodeID
-	peers map[overlay.NodeID]string
 	rng   *rand.Rand // only touched under the owning node's lock
 
 	// nmu guards the neighbor list, which the membership plane edits at
@@ -218,25 +245,41 @@ type tcpEnv struct {
 	neighbors []overlay.NodeID
 
 	jmu  sync.Mutex
-	jrng *rand.Rand // backoff jitter source, shared by sender goroutines
+	jrng *rand.Rand // backoff jitter source, shared by flushers
+
+	// ctx ends at close: it aborts dials and backoff pauses, and wg counts
+	// the running flushers, so close returns with none left.
+	ctx    context.Context
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
 
 	mu    sync.Mutex
-	conns map[overlay.NodeID]*peerConn
-	// breakers holds one circuit breaker per peer this node has sent to.
-	breakers map[overlay.NodeID]*breaker
+	peers map[overlay.NodeID]string
+	// out holds one send record per peer this node has sent to; nil once
+	// the env is closed.
+	out map[overlay.NodeID]*peer
 	// faults, when non-nil, decides the fate of every outbound
-	// transmission before it touches the socket.
+	// transmission before it is queued.
 	faults *faults.LinkModel
-	// onUnreachable (set once at node construction, read by sender
-	// goroutines) feeds transport-level delivery failures to the liveness
-	// detector.
+	// onUnreachable (set once at node construction, read by flushers)
+	// feeds transport-level delivery failures to the liveness detector.
 	onUnreachable func(overlay.NodeID)
 }
 
-// peerConn serializes frame writes on one outbound connection.
-type peerConn struct {
-	writeMu sync.Mutex
-	conn    net.Conn
+func newTCPEnv(cfg TCPConfig) *tcpEnv {
+	// The env owns its flushers' lifetime; close cancels.
+	ctx, cancel := context.WithCancel(context.Background())
+	return &tcpEnv{
+		start:     time.Now(),
+		id:        cfg.ID,
+		peers:     cfg.Peers,
+		neighbors: append([]overlay.NodeID(nil), cfg.Neighbors...),
+		rng:       rand.New(rand.NewSource(cfg.Seed)),
+		jrng:      rand.New(rand.NewSource(cfg.Seed ^ 0x5dee7)),
+		ctx:       ctx,
+		cancel:    cancel,
+		out:       make(map[overlay.NodeID]*peer),
+	}
 }
 
 var _ core.Env = (*tcpEnv)(nil)
@@ -245,82 +288,234 @@ func (e *tcpEnv) Now() time.Duration {
 	return time.Since(e.start)
 }
 
+// Schedule arms delays shorter than the runtime's idle timer granularity on
+// a kernel timer (see afterShort), everything else on the runtime's.
 func (e *tcpEnv) Schedule(delay time.Duration, fn func()) core.Cancel {
+	if delay > 0 && delay < time.Millisecond {
+		if cancel, ok := afterShort(delay, fn); ok {
+			return cancel
+		}
+	}
 	t := time.AfterFunc(delay, fn)
 	return t.Stop
 }
 
-// Send delivers asynchronously. A cached connection that turns out to be
-// broken (peer restarted, half-open socket) is evicted and the send retried
-// once on a fresh dial; errors beyond that drop the message, which the
-// protocol tolerates (timeouts and retries cover losses). The peer's circuit
-// breaker wraps the whole exchange: once it opens, sends fast-fail without
-// paying the dial-retry ladder until a cooldown probe succeeds.
+// Send queues m for the peer and returns; the peer's flusher delivers
+// asynchronously, so frames to one peer leave in the order they were sent. A
+// message that fails validation, or meets a full queue, is dropped and
+// counted (WireSendDrops) without touching the connection; a frame lost to a
+// broken connection or an open breaker is dropped too, which the protocol
+// tolerates (timeouts and retries cover losses).
 func (e *tcpEnv) Send(to overlay.NodeID, m core.Message) {
 	e.mu.Lock()
 	lm := e.faults
+	p := e.peerLocked(to)
 	e.mu.Unlock()
-	if lm == nil {
-		go e.transmit(to, m)
-		return
-	}
-	// Fault plane armed: one transmit goroutine per surviving copy (zero
-	// copies = injected drop, silent by design — see SetFaults).
-	out := lm.Plan(e.Now(), e.id, to)
-	for _, extra := range out.ExtraDelays {
-		if extra > 0 {
-			time.AfterFunc(extra, func() { e.transmit(to, m) })
-			continue
-		}
-		go e.transmit(to, m)
+	switch {
+	case p == nil: // closed
+	case lm == nil:
+		p.enqueue(&m)
+	default:
+		e.sendFaulty(lm, p, m)
 	}
 }
 
-// transmit pushes one frame at the peer on the caller's goroutine, with
-// cached-connection retry, breaker accounting, and liveness reporting.
-func (e *tcpEnv) transmit(to overlay.NodeID, m core.Message) {
-	br := e.breakerFor(to)
-	if !br.Allow(e.Now()) {
+// sendFaulty queues one copy of m per transmission the fault plane lets
+// through (zero copies = injected drop, silent by design — see SetFaults),
+// the delayed ones from a timer. It is a function of its own so that the
+// timer closure moves m to the heap here and not on every clean Send.
+func (e *tcpEnv) sendFaulty(lm *faults.LinkModel, p *peer, m core.Message) {
+	out := lm.Plan(e.Now(), e.id, p.id)
+	for _, extra := range out.ExtraDelays {
+		if extra > 0 {
+			time.AfterFunc(extra, func() { p.enqueue(&m) })
+			continue
+		}
+		p.enqueue(&m)
+	}
+}
+
+// peerLocked returns the peer's send record, creating it on first use; nil
+// once the env is closed. Caller holds e.mu.
+func (e *tcpEnv) peerLocked(to overlay.NodeID) *peer {
+	if e.out == nil {
+		return nil
+	}
+	p, ok := e.out[to]
+	if !ok {
+		p = &peer{env: e, id: to, br: newBreaker(tcpBreakerThreshold, tcpBreakerCooldown)}
+		e.out[to] = p
+	}
+	return p
+}
+
+// peer is everything this node keeps per destination: the connection, the
+// circuit breaker, and the frames waiting to be written. At most one flusher
+// goroutine runs per peer, started by the send that finds the queue idle and
+// gone again once it finds the queue empty.
+type peer struct {
+	env *tcpEnv
+	id  overlay.NodeID
+	br  *breaker // driven by the flusher alone
+
+	mu       sync.Mutex
+	queue    *[]byte  // encoded frames awaiting the flusher, from frameBuffers; nil when empty
+	queued   int      // frames in queue
+	flushing bool     // a flusher is running
+	conn     net.Conn // set by the flusher; here so close can interrupt a write
+	closed   bool
+}
+
+// enqueue frames m behind whatever already waits for the peer and makes
+// sure a flusher is running.
+func (p *peer) enqueue(m *core.Message) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed {
+		return
+	}
+	bp := p.queue
+	if bp == nil {
+		bp = frameBuffers.Get().(*[]byte)
+		*bp = (*bp)[:0]
+	}
+	before := len(*bp)
+	b, err := appendFrame(*bp, m)
+	full := err == nil && p.queued > 0 && len(b) > peerQueueBytes
+	if err != nil || full {
+		if full {
+			wireSendDrops.overflow.Add(1)
+		} else {
+			wireSendDrops.invalid.Add(1)
+		}
+		if *bp = b[:before]; p.queue == nil {
+			frameBuffers.Put(bp)
+		}
+		return
+	}
+	*bp, p.queue = b, bp
+	p.queued++
+	if !p.flushing {
+		p.flushing = true
+		p.env.wg.Add(1)
+		go p.flush()
+	}
+}
+
+// flush writes out the queue until it finds it empty: each round takes
+// everything queued since the last one and hands it to the socket in a
+// single write, so a burst to one peer costs one syscall, not one per frame.
+func (p *peer) flush() {
+	defer p.env.wg.Done()
+	for {
+		p.mu.Lock()
+		bp, frames := p.queue, p.queued
+		p.queue, p.queued = nil, 0
+		p.flushing = bp != nil // close empties the queue, so this ends a closed peer's flusher too
+		p.mu.Unlock()
+		if bp == nil {
+			return
+		}
+		p.transmit(*bp, frames)
+		frameBuffers.Put(bp)
+	}
+}
+
+// transmit pushes a batch of frames at the peer. A cached connection that
+// turns out to be broken (peer restarted, half-open socket) is evicted and
+// the batch retried once on a fresh dial; beyond that the frames are lost,
+// each one a send failure to the breaker and the liveness detector. The
+// breaker wraps the whole exchange: once it opens, batches fast-fail without
+// paying the dial-retry ladder until a cooldown probe succeeds.
+func (p *peer) transmit(batch []byte, frames int) {
+	e := p.env
+	if !p.br.Allow(e.Now()) {
 		return // circuit open: the liveness detector already knows
 	}
 	for attempt := 0; attempt < 2; attempt++ {
-		pc, err := e.conn(to)
+		conn, err := p.connect()
 		if err != nil {
-			br.Failure(e.Now())
-			e.reportUnreachable(to)
+			break
+		}
+		_ = conn.SetWriteDeadline(time.Now().Add(tcpWriteDeadline))
+		if _, err = conn.Write(batch); err == nil {
+			p.br.Success()
 			return
 		}
-		pc.writeMu.Lock()
-		_ = pc.conn.SetWriteDeadline(time.Now().Add(tcpWriteDeadline))
-		err = WriteMessage(pc.conn, m)
-		pc.writeMu.Unlock()
-		if err == nil {
-			br.Success()
-			return
-		}
-		e.dropConn(to, pc)
+		p.dropConn(conn)
 	}
-	br.Failure(e.Now())
-	e.reportUnreachable(to)
+	if e.ctx.Err() != nil {
+		return // closing: the failure says nothing about the peer
+	}
+	for i := 0; i < frames; i++ {
+		p.br.Failure(e.Now())
+		e.reportUnreachable(p.id)
+	}
 }
 
-// breakerFor returns the peer's circuit breaker, creating it on first use.
-func (e *tcpEnv) breakerFor(to overlay.NodeID) *breaker {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.breakers == nil {
-		e.breakers = make(map[overlay.NodeID]*breaker)
+// connect returns the peer's connection, dialing when there is none.
+func (p *peer) connect() (net.Conn, error) {
+	p.mu.Lock()
+	conn := p.conn
+	p.mu.Unlock()
+	if conn != nil {
+		return conn, nil
 	}
-	b, ok := e.breakers[to]
-	if !ok {
-		b = newBreaker(tcpBreakerThreshold, tcpBreakerCooldown)
-		e.breakers[to] = b
+	conn, err := p.env.dial(p.id)
+	if err != nil {
+		return nil, err
 	}
-	return b
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed {
+		_ = conn.Close()
+		return nil, errEnvClosed
+	}
+	p.conn = conn
+	p.env.wg.Add(1) // the caller is a flusher, so close is not past its Wait
+	go p.watch(conn)
+	return conn, nil
+}
+
+// watch parks on the read side of a dialed connection. Nothing is ever sent
+// back on it, so the read returns only when the connection ends — the peer
+// exited or restarted, or this side closed it — and a dead connection is
+// dropped the moment the peer's FIN arrives. Left to the next write to find
+// out, the kernel would accept that write and discard it: the first frames
+// after a peer's restart would vanish without an error.
+func (p *peer) watch(conn net.Conn) {
+	defer p.env.wg.Done()
+	var one [1]byte
+	_, _ = conn.Read(one[:])
+	p.dropConn(conn)
+}
+
+func (p *peer) dropConn(conn net.Conn) {
+	_ = conn.Close()
+	p.mu.Lock()
+	if p.conn == conn {
+		p.conn = nil
+	}
+	p.mu.Unlock()
+}
+
+// close discards the queue and closes the connection, which fails a write
+// in flight; the flusher then finds the peer closed and exits.
+func (p *peer) close() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.closed = true
+	if p.queue != nil {
+		frameBuffers.Put(p.queue)
+		p.queue, p.queued = nil, 0
+	}
+	if p.conn != nil {
+		_ = p.conn.Close()
+	}
 }
 
 // reportUnreachable forwards a delivery failure to the liveness detector.
-// It runs on a sender goroutine, never under the node lock, so calling back
+// It runs on a flusher goroutine, never under the node lock, so calling back
 // into the node is safe.
 func (e *tcpEnv) reportUnreachable(to overlay.NodeID) {
 	e.mu.Lock()
@@ -341,43 +536,30 @@ func (e *tcpEnv) jitter(d time.Duration) time.Duration {
 	return time.Duration(e.jrng.Int63n(int64(d)))
 }
 
-func (e *tcpEnv) conn(to overlay.NodeID) (*peerConn, error) {
+// dial attempts the peer's address a few times with doubling, jittered
+// backoff, riding out momentary outages such as a peer restart. Closing the
+// env aborts it.
+func (e *tcpEnv) dial(to overlay.NodeID) (net.Conn, error) {
 	e.mu.Lock()
-	if pc, ok := e.conns[to]; ok {
-		e.mu.Unlock()
-		return pc, nil
-	}
 	addr, ok := e.peers[to]
 	e.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("no address for node %v", to)
 	}
-	conn, err := e.dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	pc := &peerConn{conn: conn}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if existing, ok := e.conns[to]; ok {
-		// Lost the dial race: use the established connection.
-		_ = conn.Close()
-		return existing, nil
-	}
-	e.conns[to] = pc
-	return pc, nil
-}
-
-// dial attempts the peer address a few times with doubling, jittered
-// backoff, riding out momentary outages such as a peer restart.
-func (e *tcpEnv) dial(addr string) (net.Conn, error) {
+	dialer := net.Dialer{Timeout: tcpDialTimeout}
 	var lastErr error
 	for attempt := 0; attempt < tcpDialAttempts; attempt++ {
 		if attempt > 0 {
 			d := dialBackoff(attempt)
-			time.Sleep(d + e.jitter(d))
+			pause := time.NewTimer(d + e.jitter(d))
+			select {
+			case <-pause.C:
+			case <-e.ctx.Done():
+				pause.Stop()
+				return nil, errEnvClosed
+			}
 		}
-		conn, err := net.DialTimeout("tcp", addr, tcpDialTimeout)
+		conn, err := dialer.DialContext(e.ctx, "tcp", addr)
 		if err == nil {
 			return conn, nil
 		}
@@ -405,22 +587,18 @@ func dialBackoff(attempt int) time.Duration {
 	return d
 }
 
-func (e *tcpEnv) dropConn(to overlay.NodeID, pc *peerConn) {
+// close drops every queue and connection and returns once the flushers have
+// exited. Sends after it are dropped.
+func (e *tcpEnv) close() {
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	if cur, ok := e.conns[to]; ok && cur == pc {
-		delete(e.conns, to)
+	out := e.out
+	e.out = nil
+	e.mu.Unlock()
+	e.cancel()
+	for _, p := range out {
+		p.close()
 	}
-	_ = pc.conn.Close()
-}
-
-func (e *tcpEnv) closeConns() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for id, pc := range e.conns {
-		_ = pc.conn.Close()
-		delete(e.conns, id)
-	}
+	e.wg.Wait()
 }
 
 func (e *tcpEnv) Neighbors() []overlay.NodeID {

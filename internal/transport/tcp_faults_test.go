@@ -96,7 +96,7 @@ func TestTCPFaultInjection(t *testing.T) {
 	}
 	// Injected drops are loss, not peer failure: the breaker must stay
 	// closed so the first frame after heal flows without a cooldown.
-	if br := tn.env.breakerFor(2); !br.Allow(tn.env.Now()) {
+	if peerOf(tn.env).br.State() != breakerClosed {
 		t.Fatal("injected drop opened the circuit breaker")
 	}
 

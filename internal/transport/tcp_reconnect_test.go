@@ -51,6 +51,17 @@ func startRawPeer(t *testing.T, addr string, recv chan core.Message) *rawPeer {
 	return p
 }
 
+// newPeerEnv is a bare sending env for node 1 whose only peer, node 2,
+// lives at addr.
+func newPeerEnv(addr string, seed int64) *tcpEnv {
+	return newTCPEnv(TCPConfig{
+		ID:        1,
+		Peers:     map[overlay.NodeID]string{2: addr},
+		Neighbors: []overlay.NodeID{2},
+		Seed:      seed,
+	})
+}
+
 func (p *rawPeer) stop() {
 	_ = p.ln.Close()
 	p.mu.Lock()
@@ -69,16 +80,8 @@ func TestTCPSendRecoversAfterPeerRestart(t *testing.T) {
 	peer := startRawPeer(t, "127.0.0.1:0", recv)
 	addr := peer.ln.Addr().String()
 
-	env := &tcpEnv{
-		start:     time.Now(),
-		id:        1,
-		peers:     map[overlay.NodeID]string{2: addr},
-		neighbors: []overlay.NodeID{2},
-		rng:       rand.New(rand.NewSource(1)),
-		jrng:      rand.New(rand.NewSource(2)),
-		conns:     make(map[overlay.NodeID]*peerConn),
-	}
-	defer env.closeConns()
+	env := newPeerEnv(addr, 1)
+	defer env.close()
 
 	rng := rand.New(rand.NewSource(3))
 	msg := core.Message{
@@ -128,16 +131,8 @@ func TestTCPDialRetriesTransientOutage(t *testing.T) {
 	_ = probe.Close()
 
 	recv := make(chan core.Message, 16)
-	env := &tcpEnv{
-		start:     time.Now(),
-		id:        1,
-		peers:     map[overlay.NodeID]string{2: addr},
-		neighbors: []overlay.NodeID{2},
-		rng:       rand.New(rand.NewSource(4)),
-		jrng:      rand.New(rand.NewSource(5)),
-		conns:     make(map[overlay.NodeID]*peerConn),
-	}
-	defer env.closeConns()
+	env := newPeerEnv(addr, 4)
+	defer env.close()
 
 	rng := rand.New(rand.NewSource(6))
 	msg := core.Message{
