@@ -1,13 +1,13 @@
-// Command ariabench measures simulation-kernel throughput on synthetic
-// SWF replays and records the results in BENCH_sim.json, the regression
-// reference scripts/bench_check.sh checks in CI.
+// Command ariabench measures simulation-kernel throughput on synthetic SWF
+// replays at 2k, 10k and 100k nodes and records the results in
+// BENCH_sim.json.
 //
 // Each case re-execs this binary as a fresh child process so peak RSS
 // (VmHWM from /proc/self/status) reflects that case alone rather than the
 // high-water mark of whichever case ran first.
 //
 //	go run ./cmd/ariabench -out BENCH_sim.json          # full sweep
-//	go run ./cmd/ariabench -check BENCH_sim.json        # CI regression gate
+//	go run ./cmd/ariabench -quick -out BENCH_sim.ci.json  # skip 100k
 package main
 
 import (
@@ -23,34 +23,23 @@ import (
 	"time"
 
 	"github.com/smartgrid/aria/internal/scenario"
-	"github.com/smartgrid/aria/internal/sim"
 )
 
-// seedBaselineEvPerSec is the 10k-node replay throughput of the single-heap
-// engine as of the commit before the sharded kernel landed, measured on the
-// development container (1 CPU). It anchors the "speedup over the pre-shard
-// engine" ratio; absolute numbers are machine-dependent and never gate CI.
-const seedBaselineEvPerSec = 312037
-
 type benchCase struct {
-	Name   string `json:"name"`
-	Engine string `json:"engine"`
-	Shards int    `json:"shards"`
-	Nodes  int    `json:"nodes"`
-	Jobs   int    `json:"jobs"`
+	Name  string `json:"name"`
+	Nodes int    `json:"nodes"`
+	Jobs  int    `json:"jobs"`
 }
 
 var cases = []benchCase{
-	{"legacy-2k", "legacy", 0, 2000, 1000},
-	{"sharded4-2k", "sharded", 4, 2000, 1000},
-	{"legacy-10k", "legacy", 0, 10000, 5000},
-	{"sharded4-10k", "sharded", 4, 10000, 5000},
-	{"sharded4-100k", "sharded", 4, 100000, 1000},
+	{"2k", 2000, 1000},
+	{"10k", 10000, 5000},
+	{"100k", 100000, 1000},
 }
 
 type caseResult struct {
 	benchCase
-	GoMaxProcs   int     `json:"gomaxprocs,omitempty"`
+	GoMaxProcs   int     `json:"gomaxprocs"`
 	Events       uint64  `json:"events"`
 	EventsPerSec float64 `json:"events_per_sec"`
 	WallSeconds  float64 `json:"wall_seconds"`
@@ -60,27 +49,18 @@ type caseResult struct {
 }
 
 type report struct {
-	Generated string             `json:"generated"`
-	GoVersion string             `json:"go_version"`
-	GOOS      string             `json:"goos"`
-	GOARCH    string             `json:"goarch"`
-	CPUs      int                `json:"cpus"`
-	Baseline  baselineInfo       `json:"baseline"`
-	Cases     []caseResult       `json:"cases"`
-	Ratios    map[string]float64 `json:"ratios"`
-}
-
-type baselineInfo struct {
-	SeedSingleHeapEvPerSec float64 `json:"seed_single_heap_ev_per_sec"`
-	Note                   string  `json:"note"`
+	Generated string       `json:"generated"`
+	GoVersion string       `json:"go_version"`
+	GOOS      string       `json:"goos"`
+	GOARCH    string       `json:"goarch"`
+	CPUs      int          `json:"cpus"`
+	Cases     []caseResult `json:"cases"`
 }
 
 func main() {
 	runCase := flag.String("run-case", "", "internal: run one named case and print its JSON result")
 	out := flag.String("out", "BENCH_sim.json", "output path for the benchmark report")
-	check := flag.String("check", "", "compare a fresh 2k run against this report; exit 1 on >15% ratio regression")
 	quick := flag.Bool("quick", false, "skip the 100k case")
-	gomaxprocs := flag.String("gomaxprocs", "", "comma-separated GOMAXPROCS values (e.g. 1,2,4) to additionally sweep the sharded kernel across; per-setting events/sec land in the report")
 	flag.Parse()
 
 	if *runCase != "" {
@@ -99,34 +79,19 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *check != "" {
-		if err := checkRegression(*check); err != nil {
-			fmt.Fprintf(os.Stderr, "ariabench check: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println("ariabench check: ok")
-		return
-	}
-
 	rep := report{
 		Generated: time.Now().UTC().Format(time.RFC3339),
 		GoVersion: runtime.Version(),
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
 		CPUs:      runtime.NumCPU(),
-		Baseline: baselineInfo{
-			SeedSingleHeapEvPerSec: seedBaselineEvPerSec,
-			Note: "10k replay on the pre-shard single-heap engine (1-CPU dev container); " +
-				"sharded4-10k events_per_sec / this value is the kernel-efficiency speedup",
-		},
-		Ratios: map[string]float64{},
 	}
 	for _, c := range cases {
 		if *quick && c.Nodes > 10000 {
 			continue
 		}
 		fmt.Fprintf(os.Stderr, "running %s (%d nodes, %d jobs)...\n", c.Name, c.Nodes, c.Jobs)
-		res, err := runChild(c.Name, 0)
+		res, err := runChild(c.Name)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ariabench: %v\n", err)
 			os.Exit(1)
@@ -134,21 +99,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "  %.0f ev/s, %.1fs wall, %.0f MB peak RSS\n",
 			res.EventsPerSec, res.WallSeconds, float64(res.PeakRSSBytes)/(1<<20))
 		rep.Cases = append(rep.Cases, res)
-	}
-	for _, scale := range []string{"2k", "10k"} {
-		l, s := find(rep.Cases, "legacy-"+scale), find(rep.Cases, "sharded4-"+scale)
-		if l != nil && s != nil && l.EventsPerSec > 0 {
-			rep.Ratios["sharded4_vs_legacy_"+scale] = s.EventsPerSec / l.EventsPerSec
-		}
-	}
-	if s := find(rep.Cases, "sharded4-10k"); s != nil {
-		rep.Ratios["sharded4_10k_vs_seed_single_heap"] = s.EventsPerSec / seedBaselineEvPerSec
-	}
-	if *gomaxprocs != "" {
-		if err := sweepGoMaxProcs(&rep, *gomaxprocs, *quick); err != nil {
-			fmt.Fprintf(os.Stderr, "ariabench: %v\n", err)
-			os.Exit(1)
-		}
 	}
 	buf, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -162,63 +112,14 @@ func main() {
 	fmt.Printf("wrote %s (%d cases)\n", *out, len(rep.Cases))
 }
 
-func find(rs []caseResult, name string) *caseResult {
-	for i := range rs {
-		if rs[i].Name == name {
-			return &rs[i]
-		}
-	}
-	return nil
-}
-
-// sweepGoMaxProcs re-runs the sharded reference case once per requested
-// GOMAXPROCS setting (the 10k replay, or the 2k one under -quick) and
-// appends each run as its own case plus a scaling ratio against the first
-// setting in the list.
-func sweepGoMaxProcs(rep *report, list string, quick bool) error {
-	sweep := "sharded4-10k"
-	if quick {
-		sweep = "sharded4-2k"
-	}
-	var baseProcs int
-	var baseEvPerSec float64
-	for _, tok := range strings.Split(list, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(tok))
-		if err != nil || n < 1 {
-			return fmt.Errorf("bad -gomaxprocs value %q", tok)
-		}
-		fmt.Fprintf(os.Stderr, "running %s at GOMAXPROCS=%d...\n", sweep, n)
-		res, err := runChild(sweep, n)
-		if err != nil {
-			return err
-		}
-		res.Name = fmt.Sprintf("%s-gmp%d", sweep, n)
-		fmt.Fprintf(os.Stderr, "  %.0f ev/s, %.1fs wall, %.0f MB peak RSS\n",
-			res.EventsPerSec, res.WallSeconds, float64(res.PeakRSSBytes)/(1<<20))
-		rep.Cases = append(rep.Cases, res)
-		if baseProcs == 0 {
-			baseProcs, baseEvPerSec = n, res.EventsPerSec
-		} else if baseEvPerSec > 0 {
-			key := fmt.Sprintf("%s_gmp%d_vs_gmp%d", strings.ReplaceAll(sweep, "-", "_"), n, baseProcs)
-			rep.Ratios[key] = res.EventsPerSec / baseEvPerSec
-		}
-	}
-	return nil
-}
-
 // runChild re-execs this binary for one case so /proc/self/status VmHWM in
-// the child reflects only that case's allocations. A positive gomaxprocs
-// pins the child's GOMAXPROCS via the environment (the Go runtime honors
-// it at startup, before any scheduler state exists).
-func runChild(name string, gomaxprocs int) (caseResult, error) {
+// the child reflects only that case's allocations.
+func runChild(name string) (caseResult, error) {
 	exe, err := os.Executable()
 	if err != nil {
 		return caseResult{}, err
 	}
 	cmd := exec.Command(exe, "-run-case", name)
-	if gomaxprocs > 0 {
-		cmd.Env = append(os.Environ(), fmt.Sprintf("GOMAXPROCS=%d", gomaxprocs))
-	}
 	cmd.Stderr = os.Stderr
 	outBuf, err := cmd.Output()
 	if err != nil {
@@ -239,14 +140,10 @@ func execute(c benchCase) (caseResult, error) {
 		return caseResult{}, err
 	}
 	cfg.Nodes = c.Nodes
-	cfg.Shards = c.Shards
 	cfg.Horizon = 3 * time.Hour
 	d, err := scenario.Prepare(cfg, 0)
 	if err != nil {
 		return caseResult{}, err
-	}
-	if _, ok := d.Engine.(*sim.Sharded); ok != (c.Shards > 0) {
-		return caseResult{}, fmt.Errorf("engine/shards mismatch: sharded=%v shards=%d", ok, c.Shards)
 	}
 	if _, err := scenario.ReplaySWF(d, scenario.SyntheticTrace(c.Jobs, 42)); err != nil {
 		return caseResult{}, err
@@ -294,38 +191,4 @@ func peakRSS() int64 {
 		return kb << 10
 	}
 	return 0
-}
-
-// checkRegression replays the 2k pair and compares the sharded/legacy ratio
-// against the recorded report. The ratio is machine-independent (both runs
-// share the host), so CI hardware differences don't produce false alarms;
-// absolute throughput in the report is informational only.
-func checkRegression(path string) error {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var rep report
-	if err := json.Unmarshal(buf, &rep); err != nil {
-		return fmt.Errorf("parsing %s: %w", path, err)
-	}
-	recorded, ok := rep.Ratios["sharded4_vs_legacy_2k"]
-	if !ok || recorded <= 0 {
-		return fmt.Errorf("%s has no sharded4_vs_legacy_2k ratio", path)
-	}
-	legacy, err := runChild("legacy-2k", 0)
-	if err != nil {
-		return err
-	}
-	sharded, err := runChild("sharded4-2k", 0)
-	if err != nil {
-		return err
-	}
-	current := sharded.EventsPerSec / legacy.EventsPerSec
-	fmt.Printf("sharded4/legacy 2k ratio: current %.3f, recorded %.3f\n", current, recorded)
-	if current < recorded*0.85 {
-		return fmt.Errorf("sharded kernel regressed >15%%: ratio %.3f < %.3f (recorded %.3f × 0.85)",
-			current, recorded*0.85, recorded)
-	}
-	return nil
 }

@@ -51,7 +51,6 @@ func run(w io.Writer, args []string) error {
 		swfScale  = fs.Float64("swf-timescale", 1.0, "compress (<1) or stretch (>1) trace submission times")
 		dotPath   = fs.String("dot", "", "write the scenario's overlay as Graphviz DOT to this file and exit")
 		traced    = fs.Bool("trace", false, "arm the causal trace plane and audit protocol invariants after each run")
-		shards    = fs.Int("shards", 0, "run on the sharded kernel with N timer shards (0 = legacy single-heap engine; 4 is a good default)")
 
 		directedCands = fs.Int("directed-candidates", -1, "override DirectedCandidates (0 = directory off, -1 = scenario default)")
 		minDirOffers  = fs.Int("min-directed-offers", 0, "override MinDirectedOffers (0 = scenario default)")
@@ -79,10 +78,6 @@ func run(w io.Writer, args []string) error {
 	if *seed != 0 {
 		cfg.Seed = *seed
 	}
-	if *shards < 0 {
-		return fmt.Errorf("shards %d must be non-negative", *shards)
-	}
-	cfg.Shards = *shards
 	// Directory knob overrides. Turning the directory on over a scenario
 	// that lacks its prerequisites arms the membership plane and the
 	// remaining directory defaults, so `-directed-candidates 3` works on

@@ -133,7 +133,6 @@ func run(w io.Writer, args []string) error {
 		runs      = fs.Int("runs", 1, "repetitions per value")
 		scale     = fs.Float64("scale", 0.1, "scale factor for nodes/jobs")
 		traced    = fs.Bool("trace", false, "audit protocol invariants at every swept value (adds a violations column)")
-		shards    = fs.Int("shards", 0, "run on the sharded kernel with N timer shards (0 = legacy single-heap engine)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -157,11 +156,6 @@ func run(w io.Writer, args []string) error {
 		}
 		base = base.Scaled(*scale)
 	}
-	if *shards < 0 {
-		return fmt.Errorf("shards %d must be non-negative", *shards)
-	}
-	base.Shards = *shards
-
 	fmt.Fprintf(w, "sweep of %s (%s) on %s, %d nodes, %d jobs, %d run(s) per value\n\n",
 		p.name, p.desc, base.Name, base.Nodes, base.Submission.Count, *runs)
 	fmt.Fprintf(w, "%-12s %-10s %-12s %-12s %-12s %-10s %-10s",

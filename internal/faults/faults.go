@@ -280,14 +280,12 @@ func (l *LinkModel) SetKeySeed(seed uint64) {
 	l.keySeed = seed
 }
 
-// PlanKeyed is Plan for parallel (sharded-kernel) runs: instead of drawing
-// from the shared sequential source — whose draw order would depend on the
-// nondeterministic interleaving of shard workers — every transmission's
-// fate is a pure hash of (key seed, link, per-sender transmission index).
-// Two runs with the same seed therefore inject identical faults regardless
-// of shard count or GOMAXPROCS, and concurrent callers never contend on a
-// random source. Stats counters remain mutex-guarded (they are not
-// behavior-affecting).
+// PlanKeyed is Plan for the simulator: instead of drawing from the shared
+// sequential source — whose draw order depends on how every sender's
+// traffic interleaves — each transmission's fate is a pure hash of (key
+// seed, link, per-sender transmission index). A change to one node's
+// traffic therefore never reshuffles the faults injected on another's.
+// Stats counters remain mutex-guarded (they are not behavior-affecting).
 func (l *LinkModel) PlanKeyed(now time.Duration, from, to overlay.NodeID, key uint64) Outcome {
 	l.mu.Lock()
 	l.stats.Sent++

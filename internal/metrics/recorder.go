@@ -441,9 +441,7 @@ func (r *Recorder) AddIdleSample(at time.Duration, idle, nodes int) {
 }
 
 // Outcomes returns completed-job records in completion order — canonically
-// by (completion time, UUID), not raw callback arrival order, which under a
-// sharded kernel may interleave nondeterministically across shard workers
-// within one epoch window.
+// by (completion time, UUID), not raw callback arrival order.
 func (r *Recorder) Outcomes() []JobOutcome {
 	r.mu.Lock()
 	defer r.mu.Unlock()

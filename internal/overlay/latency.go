@@ -13,16 +13,6 @@ type LatencyModel interface {
 	Delay(from, to NodeID) time.Duration
 }
 
-// MinDelayer is an optional LatencyModel extension reporting a lower bound
-// on Delay over all pairs. The sharded simulation kernel sizes its epoch
-// windows to it: any epoch at or below the bound keeps cross-lane delivery
-// times exact (no barrier clamping). All models in this package implement
-// it.
-type MinDelayer interface {
-	// MinDelay returns the minimum one-way latency over all node pairs.
-	MinDelay() time.Duration
-}
-
 // PairwiseLatency is a deterministic latency model: every unordered node
 // pair gets a fixed one-way delay drawn uniformly from [Min, Max] by
 // hashing the pair with a salt (FNV-1a, so runs reproduce across processes).
@@ -74,24 +64,15 @@ func (l *PairwiseLatency) Delay(from, to NodeID) time.Duration {
 	return l.Min + time.Duration(h.Sum64()%(span+1))
 }
 
-// MinDelay implements MinDelayer.
-func (l *PairwiseLatency) MinDelay() time.Duration { return l.Min }
-
 // FixedLatency returns the same delay for every pair; useful in tests.
 type FixedLatency time.Duration
 
-var (
-	_ LatencyModel = FixedLatency(0)
-	_ MinDelayer   = FixedLatency(0)
-)
+var _ LatencyModel = FixedLatency(0)
 
 // Delay implements LatencyModel.
 func (f FixedLatency) Delay(_, _ NodeID) time.Duration {
 	return time.Duration(f)
 }
-
-// MinDelay implements MinDelayer.
-func (f FixedLatency) MinDelay() time.Duration { return time.Duration(f) }
 
 // SiteLatency models a grid of clusters: nodes are partitioned into sites
 // by ID, pairs within a site see LAN-class delays and pairs across sites
@@ -139,11 +120,6 @@ func (s *SiteLatency) Delay(from, to NodeID) time.Duration {
 	}
 	return s.wan.Delay(from, to)
 }
-
-// MinDelay implements MinDelayer: the LAN floor bounds every pair.
-func (s *SiteLatency) MinDelay() time.Duration { return s.lan.Min }
-
-var _ MinDelayer = (*SiteLatency)(nil)
 
 func put64(dst []byte, v uint64) {
 	for i := 0; i < 8; i++ {

@@ -6,12 +6,11 @@ import (
 	"time"
 )
 
-// benchReplay runs one synthetic SWF replay per iteration on the given
-// engine (shards == 0 selects the legacy single-heap kernel) and reports
-// kernel throughput in events per second. Flood fan-out makes event volume
-// scale with nodes × jobs, so these are the end-to-end companions to the
-// timer and cross-shard micro-benchmarks in internal/sim.
-func benchReplay(b *testing.B, nodes, jobs, shards int) {
+// benchReplay runs one synthetic SWF replay per iteration and reports kernel
+// throughput in events per second. Flood fan-out makes event volume scale
+// with nodes × jobs, so these are the end-to-end companions to the timer and
+// cross-lane micro-benchmarks in internal/sim.
+func benchReplay(b *testing.B, nodes, jobs int) {
 	b.Helper()
 	var events uint64
 	var completed int
@@ -21,7 +20,6 @@ func benchReplay(b *testing.B, nodes, jobs, shards int) {
 			b.Fatal(err)
 		}
 		c.Nodes = nodes
-		c.Shards = shards
 		// Submissions land in the trace's first hour and runtimes top out
 		// at one hour; three hours drains the tail without idle spinning
 		// (iMixed schedules no recurring per-node probes).
@@ -44,26 +42,13 @@ func benchReplay(b *testing.B, nodes, jobs, shards int) {
 	b.ReportMetric(float64(completed), "completed")
 }
 
-// BenchmarkReplayEndToEnd is the regression surface scripts/bench_check.sh
-// watches: legacy vs sharded on the same replay, 2k and 10k nodes. Run with
-// -benchtime=1x for the honest single-replay numbers BENCH_sim.json records
+// BenchmarkReplayEndToEnd replays 2k and 10k nodes. Run with -benchtime=1x
+// for the honest single-replay numbers BENCH_sim.json records
 // (cmd/ariabench automates that, adding RSS accounting).
 func BenchmarkReplayEndToEnd(b *testing.B) {
-	cases := []struct {
-		nodes, jobs, shards int
-	}{
-		{2000, 500, 0},
-		{2000, 500, 4},
-		{10000, 1000, 0},
-		{10000, 1000, 4},
-	}
-	for _, tc := range cases {
-		engine := "legacy"
-		if tc.shards > 0 {
-			engine = fmt.Sprintf("sharded%d", tc.shards)
-		}
-		b.Run(fmt.Sprintf("%s/n%d", engine, tc.nodes), func(b *testing.B) {
-			benchReplay(b, tc.nodes, tc.jobs, tc.shards)
+	for _, tc := range []struct{ nodes, jobs int }{{2000, 500}, {10000, 1000}} {
+		b.Run(fmt.Sprintf("n%d", tc.nodes), func(b *testing.B) {
+			benchReplay(b, tc.nodes, tc.jobs)
 		})
 	}
 }

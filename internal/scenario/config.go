@@ -318,26 +318,12 @@ type Config struct {
 	// scheduler state instead of restarting amnesiac.
 	Journal bool
 
-	// Shards, when positive, runs the scenario on the sharded simulation
-	// kernel with that many timer-heap partitions (sites shard together
-	// under a Sites latency model, hash-assigned otherwise). Zero keeps
-	// the legacy single-heap engine. Any positive value yields the same
-	// seed-determined run as any other; the choice only affects
-	// throughput. See sim.Sharded.
-	Shards int
-
-	// ShardCap, when positive, bounds the pending cross-lane events per
-	// destination node under the sharded kernel; excess flood fan-out is
-	// dropped at the source (the protocol's retry machinery absorbs it)
-	// instead of growing the timer heaps without bound. Zero = unbounded.
-	ShardCap int
-
-	// ShardLog, with Shards > 0, retains the sharded kernel's per-lane
-	// (time, sequence) execution log, readable after the run through
-	// sim.Sharded.EventLogBytes. Two runs are behaviorally identical iff
-	// their logs are byte-identical — the determinism tests' oracle.
-	// Costs 16 bytes per event; leave off outside tests.
-	ShardLog bool
+	// EventLog retains the kernel's per-lane (time, sequence) execution
+	// log, readable after the run through sim.Engine.EventLogBytes. Two
+	// runs are behaviorally identical iff their logs are byte-identical —
+	// the determinism tests' oracle. Costs 16 bytes per event; leave off
+	// outside tests.
+	EventLog bool
 }
 
 // Validate reports the first structural problem with the configuration.

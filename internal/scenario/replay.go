@@ -12,7 +12,7 @@ import (
 // submissions uniform over the first hour, runtimes of 10-60 minutes with
 // generous requested-time headroom. The same (n, seed) always yields the
 // same trace — the scale benchmarks and determinism tests replay it so
-// their workloads are comparable across engines and shard counts.
+// their workloads are comparable across runs and commits.
 func SyntheticTrace(n int, seed int64) *swf.Trace {
 	rng := rand.New(rand.NewSource(seed))
 	tr := &swf.Trace{}

@@ -35,7 +35,7 @@ func runSeed(c Config, run int) int64 {
 type Deployment struct {
 	Config   Config
 	Seed     int64
-	Engine   sim.Kernel
+	Engine   *sim.Engine
 	Cluster  *transport.SimCluster
 	Recorder *metrics.Recorder
 	Builder  *overlay.Blatant
@@ -135,27 +135,9 @@ func Prepare(c Config, run int) (*Deployment, error) {
 		}
 		latency = sites
 	}
-	var engine sim.Kernel = sim.NewEngine(seed + 1)
-	if c.Shards > 0 {
-		// Epoch windows sized to the latency floor keep cross-lane
-		// delivery times exact; site-based shard assignment keeps
-		// LAN-adjacent lanes on one heap (locality only — event order
-		// is lane-defined and shard-independent).
-		opts := sim.ShardedOptions{
-			Shards:         c.Shards,
-			LanePendingCap: c.ShardCap,
-			EventLog:       c.ShardLog,
-		}
-		if m, ok := latency.(overlay.MinDelayer); ok {
-			opts.Epoch = m.MinDelay()
-		}
-		if sites != nil {
-			shards := c.Shards
-			opts.Assign = func(l sim.Lane) int {
-				return sites.Site(overlay.NodeID(l)) % shards
-			}
-		}
-		engine = sim.NewSharded(seed+1, opts)
+	engine := sim.NewEngine(seed + 1)
+	if c.EventLog {
+		engine.EnableEventLog()
 	}
 	cluster := transport.NewSimCluster(engine, graph, latency)
 	if c.Journal {
@@ -258,8 +240,8 @@ func Prepare(c Config, run int) (*Deployment, error) {
 		if err != nil {
 			return nil, fmt.Errorf("scenario %s: %w", c.Name, err)
 		}
-		// The sharded kernel's transport draws keyed (order-independent)
-		// fault outcomes from this seed instead of the sequential source.
+		// The sim transport draws keyed per-transmission fault outcomes
+		// from this seed rather than from the sequential source.
 		lm.SetKeySeed(uint64(seed + 4))
 		cluster.SetFaults(lm)
 		d.Faults = lm
@@ -363,13 +345,9 @@ func (d *Deployment) ScheduleSubmissions(submit SubmitFunc) {
 	}
 }
 
-// Finish runs the simulation to the horizon and snapshots the metrics,
-// releasing the sharded kernel's workers if it uses any.
+// Finish runs the simulation to the horizon and snapshots the metrics.
 func (d *Deployment) Finish() *metrics.Result {
 	d.Engine.Run(d.Config.Horizon)
-	if sh, ok := d.Engine.(*sim.Sharded); ok {
-		sh.Close()
-	}
 	if d.Faults != nil {
 		d.Recorder.SetLinkFaults(d.Faults.Stats())
 	}

@@ -6,17 +6,16 @@ import "time"
 // Construct with NewTicker; the first invocation happens one period after
 // construction (plus an optional phase offset).
 type Ticker struct {
-	engine  Kernel
+	engine  *Engine
 	period  time.Duration
 	fn      func()
 	timer   *Timer
 	stopped bool
 }
 
-// NewTicker schedules fn to run every period, starting at phase+period from
-// now. Under the sharded kernel the ticker runs on the global lane. A
-// non-positive period is rejected by returning nil.
-func NewTicker(e Kernel, period, phase time.Duration, fn func()) *Ticker {
+// NewTicker schedules fn to run every period on the global lane, starting at
+// phase+period from now. A non-positive period is rejected by returning nil.
+func NewTicker(e *Engine, period, phase time.Duration, fn func()) *Ticker {
 	if period <= 0 {
 		return nil
 	}

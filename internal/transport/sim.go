@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 	"time"
 
 	"github.com/smartgrid/aria/internal/core"
@@ -20,34 +19,23 @@ import (
 	"github.com/smartgrid/aria/internal/wal"
 )
 
-// TrafficFunc observes every message transmission (one call per hop). Under
-// a sharded kernel it may be invoked from several shard workers at once and
-// must be internally synchronized (the metrics recorder is).
+// TrafficFunc observes every message transmission (one call per hop).
 type TrafficFunc func(at time.Duration, from, to overlay.NodeID, m *core.Message)
 
 // SimCluster runs a set of protocol nodes on a discrete-event simulation
 // kernel over an overlay graph with a latency model. It is the evaluation
 // substrate for every scenario in the paper.
 //
-// Each node maps to its own kernel lane (lane id = node id), so the cluster
-// works unchanged on the legacy single-threaded engine and on the sharded
-// engine: sends become cross-lane events, node-local timers stay on the
-// node's lane, and the kernel's barrier discipline keeps the merged order a
-// pure function of the seed.
+// Each node maps to its own kernel lane (lane id = node id): sends become
+// cross-lane arrivals, node-local timers stay on the node's lane, and every
+// node draws from its lane's random stream.
 type SimCluster struct {
-	engine  sim.Kernel
-	sharded *sim.Sharded // non-nil when engine is a sharded kernel
+	engine  *sim.Engine
 	graph   *overlay.Graph
 	latency overlay.LatencyModel
 	nodes   map[overlay.NodeID]*core.Node
 	traffic TrafficFunc
 	faults  *faults.LinkModel
-
-	// graphMu guards overlay surgery and neighbor reads issued from node
-	// callbacks: under the sharded kernel those may run on concurrent
-	// shard workers. Coordinator-context mutation (churn, expansion) runs
-	// with every shard quiesced, but takes the lock anyway for uniformity.
-	graphMu sync.RWMutex
 
 	// nodesSorted caches Nodes() — at 10k+ nodes re-sorting per submission
 	// draw dominates profiles. Callers must treat the slice as read-only.
@@ -74,12 +62,10 @@ type nodeSpec struct {
 }
 
 // NewSimCluster creates an empty cluster over the given kernel, graph, and
-// latency model. Both *sim.Engine and *sim.Sharded are accepted.
-func NewSimCluster(engine sim.Kernel, graph *overlay.Graph, latency overlay.LatencyModel) *SimCluster {
-	sh, _ := engine.(*sim.Sharded)
+// latency model.
+func NewSimCluster(engine *sim.Engine, graph *overlay.Graph, latency overlay.LatencyModel) *SimCluster {
 	return &SimCluster{
 		engine:   engine,
-		sharded:  sh,
 		graph:    graph,
 		latency:  latency,
 		nodes:    make(map[overlay.NodeID]*core.Node),
@@ -106,17 +92,16 @@ func (c *SimCluster) SetTraffic(fn TrafficFunc) {
 }
 
 // SetFaults installs a link fault model consulted on every transmission;
-// nil restores perfect delivery. Under the legacy engine the model draws
-// from its shared sequential source; under a sharded kernel the cluster
-// switches to keyed draws (PlanKeyed) so the outcome of each transmission
-// is independent of cross-lane execution order — call
-// (*faults.LinkModel).SetKeySeed first for a reproducible keyed stream.
+// nil restores perfect delivery. The cluster uses keyed draws (PlanKeyed),
+// so the fate of each transmission is a function of (link, transmission
+// index) and not of how other nodes' traffic interleaves — call
+// (*faults.LinkModel).SetKeySeed first to key the stream to the run.
 func (c *SimCluster) SetFaults(lm *faults.LinkModel) {
 	c.faults = lm
 }
 
 // Engine exposes the underlying simulation kernel.
-func (c *SimCluster) Engine() sim.Kernel { return c.engine }
+func (c *SimCluster) Engine() *sim.Engine { return c.engine }
 
 // Graph exposes the overlay graph.
 func (c *SimCluster) Graph() *overlay.Graph { return c.graph }
@@ -237,31 +222,23 @@ func (c *SimCluster) IdleCount() int {
 }
 
 // simEnv adapts the cluster to core.Env for one node. The node's lane is
-// its overlay ID, making the lane partition stable across shard counts.
+// its overlay ID.
 type simEnv struct {
 	cluster *SimCluster
 	id      overlay.NodeID
 	lane    sim.Lane
 
 	// sendSeq counts this node-incarnation's transmissions; it keys fault
-	// draws under sharded kernels. Only the owning lane mutates it.
+	// draws.
 	sendSeq uint64
 }
 
 var _ core.Env = (*simEnv)(nil)
 
-func (e *simEnv) Now() time.Duration {
-	// Direct dispatch on the concrete kernel when sharded: Now is called
-	// on every protocol action and the devirtualized call inlines.
-	if sh := e.cluster.sharded; sh != nil {
-		return sh.LaneNow(e.lane)
-	}
-	return e.cluster.engine.LaneNow(e.lane)
-}
+func (e *simEnv) Now() time.Duration { return e.cluster.engine.Now() }
 
 func (e *simEnv) Schedule(delay time.Duration, fn func()) core.Cancel {
-	t, _ := e.cluster.engine.ScheduleFrom(e.lane, e.lane, delay, fn)
-	return t.Cancel
+	return e.cluster.engine.ScheduleFrom(e.lane, e.lane, delay, fn).Cancel
 }
 
 func (e *simEnv) Send(to overlay.NodeID, m core.Message) {
@@ -284,27 +261,13 @@ func (e *simEnv) Send(to overlay.NodeID, m core.Message) {
 		return
 	}
 	// One scheduled delivery per surviving copy (zero copies = dropped).
-	// Keyed draws under sharded kernels make each transmission's fate a
-	// function of (link, transmission index), not of cross-lane order.
-	var out faults.Outcome
-	if c.sharded != nil {
-		e.sendSeq++
-		out = c.faults.PlanKeyed(now, e.id, to, e.sendSeq)
-	} else {
-		out = c.faults.Plan(now, e.id, to)
-	}
-	for _, extra := range out.ExtraDelays {
+	e.sendSeq++
+	for _, extra := range c.faults.PlanKeyed(now, e.id, to, e.sendSeq).ExtraDelays {
 		c.engine.ScheduleFrom(e.lane, sim.Lane(to), delay+extra, deliver)
 	}
 }
 
-func (e *simEnv) Neighbors() []overlay.NodeID {
-	c := e.cluster
-	c.graphMu.RLock()
-	nbs := c.graph.Neighbors(e.id)
-	c.graphMu.RUnlock()
-	return nbs
-}
+func (e *simEnv) Neighbors() []overlay.NodeID { return e.cluster.graph.Neighbors(e.id) }
 
 func (e *simEnv) Rand() *rand.Rand {
 	return e.cluster.engine.LaneRand(e.lane)
@@ -315,19 +278,10 @@ var _ core.MembershipEnv = (*simEnv)(nil)
 // PruneLink implements core.MembershipEnv: the membership plane severs the
 // overlay link to a confirmed-dead neighbor. The dead node itself stays in
 // the graph (the harness, not the protocol, knows when a corpse is gone).
-func (e *simEnv) PruneLink(peer overlay.NodeID) {
-	c := e.cluster
-	c.graphMu.Lock()
-	c.graph.RemoveLink(e.id, peer)
-	c.graphMu.Unlock()
-}
+func (e *simEnv) PruneLink(peer overlay.NodeID) { e.cluster.graph.RemoveLink(e.id, peer) }
 
 // Reconnect implements core.MembershipEnv: overlay repair adds a link to a
 // neighbor-of-neighbor, bounded by maxDegree on both endpoints.
 func (e *simEnv) Reconnect(peer overlay.NodeID, maxDegree int) bool {
-	c := e.cluster
-	c.graphMu.Lock()
-	ok := c.graph.AddLinkCapped(e.id, peer, maxDegree)
-	c.graphMu.Unlock()
-	return ok
+	return e.cluster.graph.AddLinkCapped(e.id, peer, maxDegree)
 }
