@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race bench bench-smoke bench-sim bench-check fuzz smoke directed-smoke sharedstate-smoke overload-smoke soak-smoke
+.PHONY: build test vet race bench bench-smoke bench-sim bench-check figs-check fuzz smoke directed-smoke sharedstate-smoke overload-smoke soak-smoke
 
 build:
 	$(GO) build ./...
@@ -39,6 +39,21 @@ bench-sim:
 bench-check:
 	$(GO) test ./internal/sim/ -run '^$$' -bench . -benchtime 10000x
 	$(GO) run ./cmd/ariabench -quick -out BENCH_sim.ci.json
+
+# figs-check is the figure oracle for the extension figures whose numbers
+# the plane counters produce: it regenerates fig105-fig109 with the command
+# that made the checked-in artifacts and fails on any byte difference from
+# results/. A refactor that must not move a number passes it unchanged.
+figs-check:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) build -o "$$dir/ariaeval" ./cmd/ariaeval && \
+	for f in 105 106 107 108 109; do \
+		"$$dir/ariaeval" -fig $$f -runs 3 -out "$$dir/figs" -v=false >/dev/null || exit 1; \
+	done && \
+	for got in "$$dir"/figs/*; do \
+		diff -u "results/$$(basename "$$got")" "$$got" || exit 1; \
+	done && \
+	echo "figs-check: $$(ls "$$dir/figs" | wc -l) artifacts match results/"
 
 # fuzz gives the wire, journal, directory-digest, and gateway-body
 # codecs a short adversarial shake (see internal/transport/codec_fuzz_test.go,

@@ -72,8 +72,11 @@ type (
 	Message = core.Message
 	// Env is the environment binding a node runs against.
 	Env = core.Env
-	// Observer receives job lifecycle events.
+	// Observer receives job lifecycle and protocol-plane events.
 	Observer = core.Observer
+	// NopObserver ignores every event; embed it to implement Observer
+	// with only the methods you need.
+	NopObserver = core.NopObserver
 
 	// NodeID addresses a node on the overlay.
 	NodeID = overlay.NodeID

@@ -33,6 +33,7 @@ import (
 	"github.com/smartgrid/aria/internal/ctl"
 	"github.com/smartgrid/aria/internal/eventlog"
 	"github.com/smartgrid/aria/internal/job"
+	"github.com/smartgrid/aria/internal/metrics"
 	"github.com/smartgrid/aria/internal/overlay"
 	"github.com/smartgrid/aria/internal/resource"
 	"github.com/smartgrid/aria/internal/sched"
@@ -151,8 +152,45 @@ func run(args []string, stop <-chan os.Signal) error {
 		art = job.ARTModel{Mode: job.DriftNone}
 	}
 
+	protoCfg := core.DefaultConfig()
+	// Delivery hardening: both planes are implemented in core but default
+	// off to keep the simulator's baseline figures comparable; a live grid
+	// whose assignees can crash wants them on, or a lost ASSIGN (or an
+	// assignee SIGKILLed with queued work) orphans the job forever.
+	protoCfg.AssignAck = *assignAck
+	protoCfg.NotifyInitiator = *notify
+	if *probeInterval > 0 {
+		protoCfg.ProbeInterval = *probeInterval
+		protoCfg.ProbeTimeout = *probeTimeout
+		protoCfg.SuspectTimeout = *suspectTimeout
+		protoCfg.MaxDegree = *maxDegree
+	}
+	if *maxQueued > 0 || *maxPending > 0 || *retryCap > 0 {
+		protoCfg.MaxQueuedJobs = *maxQueued
+		protoCfg.MaxPendingSubmits = *maxPending
+		protoCfg.RetryBackoffCap = *retryCap
+	}
+	if *directedCands > 0 {
+		protoCfg.DirectedCandidates = *directedCands
+		protoCfg.MinDirectedOffers = *minDirOffers
+		protoCfg.DirectoryCapacity = *dirCapacity
+		protoCfg.DirectoryTTL = *dirTTL
+		protoCfg.DirectoryGossip = *dirGossip
+	}
+	if *sharedBound > 0 {
+		protoCfg.SharedStateBound = *sharedBound
+		protoCfg.SharedStateRetries = *sharedRetries
+		protoCfg.CommitTimeout = *commitTimeout
+		protoCfg.CommitBackoff = *commitBackoff
+		// The cluster-state view rides the directory cache, so arm it even
+		// when directed probes are off (same knobs as -directed-candidates).
+		protoCfg.DirectoryCapacity = *dirCapacity
+		protoCfg.DirectoryTTL = *dirTTL
+		protoCfg.DirectoryGossip = *dirGossip
+	}
+
 	logger := log.New(os.Stdout, fmt.Sprintf("ariad[%d] ", *id), log.Ltime|log.Lmicroseconds)
-	var obs core.Observer = &logObserver{log: logger}
+	obs := daemonObservers(logger, protoCfg)
 	if *events != "" {
 		f, err := os.OpenFile(*events, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
@@ -182,62 +220,6 @@ func run(args []string, stop <-chan os.Signal) error {
 	debugRing.Store(ring)
 	debugRecovery.Store((*core.RecoveryStats)(nil)) // reset stale stats across run() calls
 	debugWALFaults.Store(&faultStoreRef{nil})       // ditto for fault counters
-
-	protoCfg := core.DefaultConfig()
-	// Delivery hardening: both planes are implemented in core but default
-	// off to keep the simulator's baseline figures comparable; a live grid
-	// whose assignees can crash wants them on, or a lost ASSIGN (or an
-	// assignee SIGKILLed with queued work) orphans the job forever.
-	protoCfg.AssignAck = *assignAck
-	protoCfg.NotifyInitiator = *notify
-	var members *memberCounters
-	if *probeInterval > 0 {
-		protoCfg.ProbeInterval = *probeInterval
-		protoCfg.ProbeTimeout = *probeTimeout
-		protoCfg.SuspectTimeout = *suspectTimeout
-		protoCfg.MaxDegree = *maxDegree
-		members = &memberCounters{log: logger}
-		obs = eventlog.Tee{obs, members}
-	}
-	debugMembers.Store(&memberCountersRef{members})
-
-	var ovl *overloadCounters
-	if *maxQueued > 0 || *maxPending > 0 || *retryCap > 0 {
-		protoCfg.MaxQueuedJobs = *maxQueued
-		protoCfg.MaxPendingSubmits = *maxPending
-		protoCfg.RetryBackoffCap = *retryCap
-		ovl = &overloadCounters{log: logger}
-		obs = eventlog.Tee{obs, ovl}
-	}
-	debugOverload.Store(&overloadCountersRef{ovl})
-
-	var dirCounters *directoryCounters
-	if *directedCands > 0 {
-		protoCfg.DirectedCandidates = *directedCands
-		protoCfg.MinDirectedOffers = *minDirOffers
-		protoCfg.DirectoryCapacity = *dirCapacity
-		protoCfg.DirectoryTTL = *dirTTL
-		protoCfg.DirectoryGossip = *dirGossip
-		dirCounters = &directoryCounters{}
-		obs = eventlog.Tee{obs, dirCounters}
-	}
-	debugDirectory.Store(&directoryCountersRef{dirCounters})
-
-	var ssCounters *sharedStateCounters
-	if *sharedBound > 0 {
-		protoCfg.SharedStateBound = *sharedBound
-		protoCfg.SharedStateRetries = *sharedRetries
-		protoCfg.CommitTimeout = *commitTimeout
-		protoCfg.CommitBackoff = *commitBackoff
-		// The cluster-state view rides the directory cache, so arm it even
-		// when directed probes are off (same knobs as -directed-candidates).
-		protoCfg.DirectoryCapacity = *dirCapacity
-		protoCfg.DirectoryTTL = *dirTTL
-		protoCfg.DirectoryGossip = *dirGossip
-		ssCounters = &sharedStateCounters{}
-		obs = eventlog.Tee{obs, ssCounters}
-	}
-	debugSharedState.Store(&sharedStateCountersRef{ssCounters})
 
 	node, err := transport.ListenTCP(transport.TCPConfig{
 		ID:        overlay.NodeID(*id),
@@ -364,16 +346,13 @@ func run(args []string, stop <-chan os.Signal) error {
 }
 
 // debugRing points at the current daemon instance's span ring (nil ring =
-// tracing off) and debugMembers at its membership counters (nil = membership
-// off); expvar closures read through them so repeated run() calls in one
-// process (tests) never double-publish.
+// tracing off) and debugPlanes at its plane counters; expvar closures read
+// through them so repeated run() calls in one process (tests) never
+// double-publish.
 var (
 	debugRing        atomic.Value // *trace.Ring
-	debugMembers     atomic.Value // *memberCountersRef
+	debugPlanes      atomic.Pointer[planeVars]
 	debugRecovery    atomic.Value // *core.RecoveryStats (boot-time recovery)
-	debugDirectory   atomic.Value // *directoryCountersRef
-	debugOverload    atomic.Value // *overloadCountersRef
-	debugSharedState atomic.Value // *sharedStateCountersRef
 	debugIncarnation atomic.Value // uint64
 	debugWALFaults   atomic.Value // *faultStoreRef
 	debugVarsOnce    sync.Once
@@ -383,21 +362,73 @@ var (
 // stores one concrete type.
 type faultStoreRef struct{ s *wal.FaultStore }
 
-// memberCountersRef wraps the possibly-nil pointer so atomic.Value always
-// stores one concrete type.
-type memberCountersRef struct{ c *memberCounters }
+// planeVars is what the plane sections of /debug/vars read: one daemon's
+// counters and the config saying which planes its flags armed.
+type planeVars struct {
+	counters *metrics.PlaneCounters
+	cfg      core.Config
+}
 
-// directoryCountersRef wraps the possibly-nil pointer so atomic.Value always
-// stores one concrete type.
-type directoryCountersRef struct{ c *directoryCounters }
+// daemonObservers builds the observer chain every ariad runs, the operator
+// log plus the plane counters, and points /debug/vars at those counters.
+func daemonObservers(logger *log.Logger, cfg core.Config) core.Observer {
+	planes := &metrics.PlaneCounters{}
+	debugPlanes.Store(&planeVars{counters: planes, cfg: cfg})
+	return eventlog.Tee{&logObserver{log: logger}, planes}
+}
 
-// overloadCountersRef wraps the possibly-nil pointer so atomic.Value always
-// stores one concrete type.
-type overloadCountersRef struct{ c *overloadCounters }
-
-// sharedStateCountersRef wraps the possibly-nil pointer so atomic.Value
-// always stores one concrete type.
-type sharedStateCountersRef struct{ c *sharedStateCounters }
+// planeSections renders each plane's /debug/vars section from the shared
+// counters. A section stays {} while its plane is off.
+var planeSections = []struct {
+	name   string
+	armed  func(core.Config) bool
+	render func(metrics.PlaneCounts) map[string]uint64
+}{
+	{"aria.membership", core.Config.Membership, func(c metrics.PlaneCounts) map[string]uint64 {
+		m := c.Membership
+		return map[string]uint64{
+			"suspected": uint64(m.Suspected),
+			"refuted":   uint64(m.Refuted),
+			"dead":      uint64(m.Dead),
+			"repaired":  uint64(m.Repaired),
+			"refloods":  uint64(m.ReFloods),
+		}
+	}},
+	{"aria.directory", core.Config.Directory, func(c metrics.PlaneCounts) map[string]uint64 {
+		d := c.Directory
+		return map[string]uint64{
+			"hits":      uint64(d.Hits),
+			"misses":    uint64(d.Misses),
+			"fallbacks": uint64(d.Fallbacks),
+			"probes":    uint64(d.Probes),
+			"evictions": uint64(d.EvictionTotal()),
+		}
+	}},
+	{"aria.overload", func(cfg core.Config) bool {
+		return cfg.MaxQueuedJobs > 0 || cfg.MaxPendingSubmits > 0 || cfg.RetryBackoffCap > 0
+	}, func(c metrics.PlaneCounts) map[string]uint64 {
+		o := c.Overload
+		return map[string]uint64{
+			"requestsShed":  uint64(o.RequestsShed),
+			"assignsShed":   uint64(o.AssignsShed),
+			"reflooded":     uint64(o.Reflooded),
+			"reenqueued":    uint64(o.Reenqueued),
+			"peersBusy":     uint64(o.PeersBusy),
+			"submitRejects": uint64(o.SubmitRejections),
+		}
+	}},
+	{"aria.sharedstate", core.Config.SharedState, func(c metrics.PlaneCounts) map[string]uint64 {
+		s := c.SharedState
+		timeouts := s.Conflicts["timeout"]
+		return map[string]uint64{
+			"commits":   uint64(s.Commits),
+			"conflicts": uint64(s.ConflictTotal() - timeouts),
+			"timeouts":  uint64(timeouts),
+			"granted":   uint64(s.Granted),
+			"fallbacks": uint64(s.Fallbacks),
+		}
+	}},
+}
 
 func publishDebugVars() {
 	debugVarsOnce.Do(func() {
@@ -413,30 +444,14 @@ func publishDebugVars() {
 			}
 			return map[core.SpanKind]uint64{}
 		}))
-		expvar.Publish("aria.membership", expvar.Func(func() interface{} {
-			if ref, _ := debugMembers.Load().(*memberCountersRef); ref != nil && ref.c != nil {
-				return ref.c.snapshot()
-			}
-			return map[string]uint64{}
-		}))
-		expvar.Publish("aria.directory", expvar.Func(func() interface{} {
-			if ref, _ := debugDirectory.Load().(*directoryCountersRef); ref != nil && ref.c != nil {
-				return ref.c.snapshot()
-			}
-			return map[string]uint64{}
-		}))
-		expvar.Publish("aria.overload", expvar.Func(func() interface{} {
-			if ref, _ := debugOverload.Load().(*overloadCountersRef); ref != nil && ref.c != nil {
-				return ref.c.snapshot()
-			}
-			return map[string]uint64{}
-		}))
-		expvar.Publish("aria.sharedstate", expvar.Func(func() interface{} {
-			if ref, _ := debugSharedState.Load().(*sharedStateCountersRef); ref != nil && ref.c != nil {
-				return ref.c.snapshot()
-			}
-			return map[string]uint64{}
-		}))
+		for _, sec := range planeSections {
+			expvar.Publish(sec.name, expvar.Func(func() interface{} {
+				if p := debugPlanes.Load(); p != nil && sec.armed(p.cfg) {
+					return sec.render(p.counters.Snapshot())
+				}
+				return map[string]uint64{}
+			}))
+		}
 		// aria.runtime is the soak auditor's process-health probe: the
 		// live goroutine count bounds leak growth, pid locates the
 		// process's /proc entry for RSS, and incarnation ties the probe
@@ -487,179 +502,6 @@ func publishDebugVars() {
 			return map[string]interface{}{}
 		}))
 	})
-}
-
-// memberCounters tallies liveness-detector activity for expvar and logs the
-// state transitions operators care about.
-type memberCounters struct {
-	core.NopObserver
-
-	log *log.Logger
-
-	suspected, refuted, dead, repaired, refloods atomic.Uint64
-}
-
-var _ core.MembershipObserver = (*memberCounters)(nil)
-
-func (m *memberCounters) PeerSuspected(_ time.Duration, _, peer overlay.NodeID) {
-	m.suspected.Add(1)
-	m.log.Printf("peer %v suspected", peer)
-}
-
-func (m *memberCounters) PeerRefuted(_ time.Duration, _, peer overlay.NodeID) {
-	m.refuted.Add(1)
-	m.log.Printf("peer %v refuted suspicion", peer)
-}
-
-func (m *memberCounters) PeerDead(_ time.Duration, _, peer overlay.NodeID) {
-	m.dead.Add(1)
-	m.log.Printf("peer %v confirmed dead", peer)
-}
-
-func (m *memberCounters) LinkRepaired(_ time.Duration, _, dead, replacement overlay.NodeID) {
-	m.repaired.Add(1)
-	m.log.Printf("overlay repaired: %v replaces dead %v", replacement, dead)
-}
-
-func (m *memberCounters) FloodEscalated(_ time.Duration, _ overlay.NodeID, uuid job.UUID, attempt, ttl int) {
-	m.refloods.Add(1)
-	m.log.Printf("job %s re-flood %d escalated to TTL %d", uuid.Short(), attempt, ttl)
-}
-
-func (m *memberCounters) snapshot() map[string]uint64 {
-	return map[string]uint64{
-		"suspected": m.suspected.Load(),
-		"refuted":   m.refuted.Load(),
-		"dead":      m.dead.Load(),
-		"repaired":  m.repaired.Load(),
-		"refloods":  m.refloods.Load(),
-	}
-}
-
-// overloadCounters tallies overload-control activity for expvar and logs the
-// shed decisions operators care about.
-type overloadCounters struct {
-	core.NopObserver
-
-	log *log.Logger
-
-	requestsShed, assignsShed, reflooded, reenqueued, peersBusy, submitRejects atomic.Uint64
-}
-
-var _ core.OverloadObserver = (*overloadCounters)(nil)
-
-func (o *overloadCounters) RequestShed(_ time.Duration, _ overlay.NodeID, _ job.UUID, _ int) {
-	o.requestsShed.Add(1)
-}
-
-func (o *overloadCounters) AssignShed(_ time.Duration, _ overlay.NodeID, uuid job.UUID, depth int) {
-	o.assignsShed.Add(1)
-	o.log.Printf("job %s ASSIGN shed with BUSY (queue depth %d)", uuid.Short(), depth)
-}
-
-func (o *overloadCounters) ShedRedispatched(_ time.Duration, _ overlay.NodeID, uuid job.UUID, reflooded bool) {
-	if reflooded {
-		o.reflooded.Add(1)
-		o.log.Printf("job %s re-flooded after BUSY", uuid.Short())
-	} else {
-		o.reenqueued.Add(1)
-		o.log.Printf("job %s re-enqueued after BUSY", uuid.Short())
-	}
-}
-
-func (o *overloadCounters) PeerBusy(_ time.Duration, _, peer overlay.NodeID) {
-	o.peersBusy.Add(1)
-}
-
-func (o *overloadCounters) SubmitRejected(_ time.Duration, _ overlay.NodeID, uuid job.UUID, pending int) {
-	o.submitRejects.Add(1)
-	o.log.Printf("job %s submit rejected (%d discoveries in flight)", uuid.Short(), pending)
-}
-
-func (o *overloadCounters) snapshot() map[string]uint64 {
-	return map[string]uint64{
-		"requestsShed":  o.requestsShed.Load(),
-		"assignsShed":   o.assignsShed.Load(),
-		"reflooded":     o.reflooded.Load(),
-		"reenqueued":    o.reenqueued.Load(),
-		"peersBusy":     o.peersBusy.Load(),
-		"submitRejects": o.submitRejects.Load(),
-	}
-}
-
-// directoryCounters tallies directed-discovery activity for expvar.
-type directoryCounters struct {
-	core.NopObserver
-
-	hits, misses, fallbacks, probes, evictions atomic.Uint64
-}
-
-var _ core.DirectoryObserver = (*directoryCounters)(nil)
-
-func (d *directoryCounters) DirectoryHit(_ time.Duration, _ overlay.NodeID, _ job.UUID, probes int) {
-	d.hits.Add(1)
-	d.probes.Add(uint64(probes))
-}
-
-func (d *directoryCounters) DirectoryMiss(time.Duration, overlay.NodeID, job.UUID) {
-	d.misses.Add(1)
-}
-
-func (d *directoryCounters) DirectoryFallback(time.Duration, overlay.NodeID, job.UUID, int) {
-	d.fallbacks.Add(1)
-}
-
-func (d *directoryCounters) DirectoryEvicted(time.Duration, overlay.NodeID, overlay.NodeID, string) {
-	d.evictions.Add(1)
-}
-
-func (d *directoryCounters) snapshot() map[string]uint64 {
-	return map[string]uint64{
-		"hits":      d.hits.Load(),
-		"misses":    d.misses.Load(),
-		"fallbacks": d.fallbacks.Load(),
-		"probes":    d.probes.Load(),
-		"evictions": d.evictions.Load(),
-	}
-}
-
-// sharedStateCounters tallies optimistic-commit activity for expvar.
-type sharedStateCounters struct {
-	core.NopObserver
-
-	commits, conflicts, timeouts, granted, fallbacks atomic.Uint64
-}
-
-var _ core.SharedStateObserver = (*sharedStateCounters)(nil)
-
-func (s *sharedStateCounters) CommitSent(time.Duration, overlay.NodeID, job.UUID, overlay.NodeID, int) {
-	s.commits.Add(1)
-}
-
-func (s *sharedStateCounters) CommitConflict(_ time.Duration, _ overlay.NodeID, _ job.UUID, _ overlay.NodeID, reason string, _ int) {
-	if reason == "timeout" {
-		s.timeouts.Add(1)
-	} else {
-		s.conflicts.Add(1)
-	}
-}
-
-func (s *sharedStateCounters) CommitGranted(time.Duration, overlay.NodeID, job.UUID, overlay.NodeID, int) {
-	s.granted.Add(1)
-}
-
-func (s *sharedStateCounters) CommitFallback(time.Duration, overlay.NodeID, job.UUID, int) {
-	s.fallbacks.Add(1)
-}
-
-func (s *sharedStateCounters) snapshot() map[string]uint64 {
-	return map[string]uint64{
-		"commits":   s.commits.Load(),
-		"conflicts": s.conflicts.Load(),
-		"timeouts":  s.timeouts.Load(),
-		"granted":   s.granted.Load(),
-		"fallbacks": s.fallbacks.Load(),
-	}
 }
 
 func parsePeers(s string) (map[overlay.NodeID]string, error) {
@@ -716,7 +558,8 @@ func parsePolicy(s string) (sched.Policy, error) {
 	return sched.ParsePolicy(s)
 }
 
-// logObserver prints job lifecycle events.
+// logObserver prints job lifecycle events and the plane transitions
+// operators care about.
 type logObserver struct {
 	core.NopObserver
 
@@ -746,4 +589,40 @@ func (o *logObserver) JobCompleted(_ time.Duration, node overlay.NodeID, j *job.
 
 func (o *logObserver) JobFailed(_ time.Duration, _ overlay.NodeID, uuid job.UUID, reason string) {
 	o.log.Printf("job %s failed: %s", uuid.Short(), reason)
+}
+
+func (o *logObserver) PeerSuspected(_ time.Duration, _, peer overlay.NodeID) {
+	o.log.Printf("peer %v suspected", peer)
+}
+
+func (o *logObserver) PeerRefuted(_ time.Duration, _, peer overlay.NodeID) {
+	o.log.Printf("peer %v refuted suspicion", peer)
+}
+
+func (o *logObserver) PeerDead(_ time.Duration, _, peer overlay.NodeID) {
+	o.log.Printf("peer %v confirmed dead", peer)
+}
+
+func (o *logObserver) LinkRepaired(_ time.Duration, _, dead, replacement overlay.NodeID) {
+	o.log.Printf("overlay repaired: %v replaces dead %v", replacement, dead)
+}
+
+func (o *logObserver) FloodEscalated(_ time.Duration, _ overlay.NodeID, uuid job.UUID, attempt, ttl int) {
+	o.log.Printf("job %s re-flood %d escalated to TTL %d", uuid.Short(), attempt, ttl)
+}
+
+func (o *logObserver) AssignShed(_ time.Duration, _ overlay.NodeID, uuid job.UUID, depth int) {
+	o.log.Printf("job %s ASSIGN shed with BUSY (queue depth %d)", uuid.Short(), depth)
+}
+
+func (o *logObserver) ShedRedispatched(_ time.Duration, _ overlay.NodeID, uuid job.UUID, reflooded bool) {
+	if reflooded {
+		o.log.Printf("job %s re-flooded after BUSY", uuid.Short())
+	} else {
+		o.log.Printf("job %s re-enqueued after BUSY", uuid.Short())
+	}
+}
+
+func (o *logObserver) SubmitRejected(_ time.Duration, _ overlay.NodeID, uuid job.UUID, pending int) {
+	o.log.Printf("job %s submit rejected (%d discoveries in flight)", uuid.Short(), pending)
 }

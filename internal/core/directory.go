@@ -138,9 +138,7 @@ func (n *Node) startDirected(p job.Profile, parent uint64) bool {
 		// cache would aim the whole round at its few entries and herd load
 		// onto them. Flood instead — every ACCEPT it draws carries the
 		// sender's digest, so the miss itself warms the cache.
-		if n.dirObs != nil {
-			n.dirObs.DirectoryMiss(now, n.id, p.UUID)
-		}
+		n.obs.DirectoryMiss(now, n.id, p.UUID)
 		return false
 	}
 	// usable arrives least-loaded first (join-shortest-known-queue), so the
@@ -184,9 +182,7 @@ func (n *Node) startDirected(p job.Profile, parent uint64) bool {
 		Msg: MsgRequest, Hop: 0, TTL: 1, Fanout: len(targets),
 		Seq: msg.Seq, Origin: n.id,
 	})
-	if n.dirObs != nil {
-		n.dirObs.DirectoryHit(now, n.id, p.UUID, len(targets))
-	}
+	n.obs.DirectoryHit(now, n.id, p.UUID, len(targets))
 	uuid := p.UUID
 	pend.timer = n.env.Schedule(n.cfg.AcceptTimeout, func() { n.decide(uuid) })
 	return true
@@ -203,8 +199,6 @@ func (n *Node) directedFallback(pend *pendingJob) {
 		Kind: SpanDirectoryFallback, UUID: uuid, Parent: pend.span,
 		Attempt: pend.directedOffers,
 	})
-	if n.dirObs != nil {
-		n.dirObs.DirectoryFallback(n.env.Now(), n.id, uuid, pend.directedOffers)
-	}
+	n.obs.DirectoryFallback(n.env.Now(), n.id, uuid, pend.directedOffers)
 	n.startFlood(pend.profile, pend.retries, fb)
 }

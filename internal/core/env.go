@@ -38,9 +38,13 @@ type Env interface {
 	Rand() *rand.Rand
 }
 
-// Observer receives job lifecycle events for metrics collection. All
-// callbacks run on the node's execution context and must not block or call
-// back into the node. A nil Observer is replaced by NopObserver.
+// Observer receives every event a node reports: the job lifecycle below
+// plus the six plane groups it embeds. It is one total contract: a node
+// calls every method unconditionally, so an observer interested in a few
+// events embeds NopObserver and overrides those. TraceObserver is the only
+// opt-in extension (see its doc comment for why). All callbacks run on the
+// node's execution context and must not block or call back into the node.
+// A nil Observer is replaced by NopObserver.
 type Observer interface {
 	// JobSubmitted fires when an initiator accepts a job submission.
 	JobSubmitted(at time.Duration, initiator overlay.NodeID, p job.Profile)
@@ -60,6 +64,13 @@ type Observer interface {
 	// JobFailed fires when an initiator abandons a job (discovery
 	// exhausted its retries, or the failsafe watchdog gave up).
 	JobFailed(at time.Duration, initiator overlay.NodeID, uuid job.UUID, reason string)
+
+	DeliveryObserver
+	MembershipObserver
+	RecoveryObserver
+	DirectoryObserver
+	OverloadObserver
+	SharedStateObserver
 }
 
 // MembershipEnv is an optional extension of Env giving the membership plane
@@ -79,10 +90,8 @@ type MembershipEnv interface {
 	Reconnect(peer overlay.NodeID, maxDegree int) bool
 }
 
-// MembershipObserver is an optional extension of Observer reporting
-// liveness-detector and overlay-repair events. Observers that do not
-// implement it simply miss these events; the node detects support once at
-// construction with a type assertion.
+// MembershipObserver is the Observer group reporting liveness-detector and
+// overlay-repair events.
 type MembershipObserver interface {
 	// PeerSuspected fires when a probe of peer timed out and node moved
 	// it from alive to suspect.
@@ -105,10 +114,8 @@ type MembershipObserver interface {
 	FloodEscalated(at time.Duration, node overlay.NodeID, uuid job.UUID, attempt, ttl int)
 }
 
-// RecoveryObserver is an optional extension of Observer reporting journal
-// recovery events (the fail-recover extension). Observers that do not
-// implement it simply miss these events; the node detects support once at
-// construction with a type assertion.
+// RecoveryObserver is the Observer group reporting journal recovery events
+// (the fail-recover extension).
 type RecoveryObserver interface {
 	// NodeRecovered fires once per Recover call, after the node rebuilt
 	// its scheduler state from the journal: jobsRecovered counts the
@@ -119,10 +126,8 @@ type RecoveryObserver interface {
 	NodeRecovered(at time.Duration, node overlay.NodeID, jobsRecovered, replayRecords int, snapshotAge time.Duration)
 }
 
-// DirectoryObserver is an optional extension of Observer reporting
-// gossip-fed directory activity (the directed-discovery extension).
-// Observers that do not implement it simply miss these events; the node
-// detects support once at construction with a type assertion.
+// DirectoryObserver is the Observer group reporting gossip-fed directory
+// activity (the directed-discovery extension).
 type DirectoryObserver interface {
 	// DirectoryHit fires when a discovery round goes directed: probes is
 	// the number of TTL-0 targeted REQUESTs sent (each one message on the
@@ -143,10 +148,8 @@ type DirectoryObserver interface {
 	DirectoryEvicted(at time.Duration, node, subject overlay.NodeID, reason string)
 }
 
-// OverloadObserver is an optional extension of Observer reporting load
-// shedding and admission-control events (the overload-control extension).
-// Observers that do not implement it simply miss these events; the node
-// detects support once at construction with a type assertion.
+// OverloadObserver is the Observer group reporting load shedding and
+// admission-control events (the overload-control extension).
 type OverloadObserver interface {
 	// RequestShed fires when a saturated provider declines to offer on a
 	// REQUEST it could otherwise satisfy; depth is its queued+running
@@ -172,10 +175,8 @@ type OverloadObserver interface {
 	SubmitRejected(at time.Duration, node overlay.NodeID, uuid job.UUID, pending int)
 }
 
-// SharedStateObserver is an optional extension of Observer reporting
-// optimistic-commit activity (the shared-state scheduler arm). Observers
-// that do not implement it simply miss these events; the node detects
-// support once at construction with a type assertion.
+// SharedStateObserver is the Observer group reporting optimistic-commit
+// activity (the shared-state scheduler arm).
 type SharedStateObserver interface {
 	// CommitSent fires when an initiator commits a job optimistically
 	// against its cached view; attempt counts from 1.
@@ -195,10 +196,8 @@ type SharedStateObserver interface {
 	CommitFallback(at time.Duration, node overlay.NodeID, uuid job.UUID, attempts int)
 }
 
-// DeliveryObserver is an optional extension of Observer reporting delivery
-// hardening events (the AssignAck handshake). Observers that do not
-// implement it simply miss these events; the node detects support once at
-// construction with a type assertion.
+// DeliveryObserver is the Observer group reporting delivery hardening
+// events (the AssignAck handshake).
 type DeliveryObserver interface {
 	// AssignRetried fires when a node retransmits an ASSIGN whose
 	// acknowledgement did not arrive in time; attempt counts from 1.
@@ -230,3 +229,67 @@ func (NopObserver) JobCompleted(time.Duration, overlay.NodeID, *job.Job) {}
 
 // JobFailed implements Observer.
 func (NopObserver) JobFailed(time.Duration, overlay.NodeID, job.UUID, string) {}
+
+// AssignRetried implements DeliveryObserver.
+func (NopObserver) AssignRetried(time.Duration, overlay.NodeID, job.UUID, int) {}
+
+// AssignRecovered implements DeliveryObserver.
+func (NopObserver) AssignRecovered(time.Duration, overlay.NodeID, job.UUID) {}
+
+// PeerSuspected implements MembershipObserver.
+func (NopObserver) PeerSuspected(time.Duration, overlay.NodeID, overlay.NodeID) {}
+
+// PeerRefuted implements MembershipObserver.
+func (NopObserver) PeerRefuted(time.Duration, overlay.NodeID, overlay.NodeID) {}
+
+// PeerDead implements MembershipObserver.
+func (NopObserver) PeerDead(time.Duration, overlay.NodeID, overlay.NodeID) {}
+
+// LinkRepaired implements MembershipObserver.
+func (NopObserver) LinkRepaired(time.Duration, overlay.NodeID, overlay.NodeID, overlay.NodeID) {}
+
+// FloodEscalated implements MembershipObserver.
+func (NopObserver) FloodEscalated(time.Duration, overlay.NodeID, job.UUID, int, int) {}
+
+// NodeRecovered implements RecoveryObserver.
+func (NopObserver) NodeRecovered(time.Duration, overlay.NodeID, int, int, time.Duration) {}
+
+// DirectoryHit implements DirectoryObserver.
+func (NopObserver) DirectoryHit(time.Duration, overlay.NodeID, job.UUID, int) {}
+
+// DirectoryMiss implements DirectoryObserver.
+func (NopObserver) DirectoryMiss(time.Duration, overlay.NodeID, job.UUID) {}
+
+// DirectoryFallback implements DirectoryObserver.
+func (NopObserver) DirectoryFallback(time.Duration, overlay.NodeID, job.UUID, int) {}
+
+// DirectoryEvicted implements DirectoryObserver.
+func (NopObserver) DirectoryEvicted(time.Duration, overlay.NodeID, overlay.NodeID, string) {}
+
+// RequestShed implements OverloadObserver.
+func (NopObserver) RequestShed(time.Duration, overlay.NodeID, job.UUID, int) {}
+
+// AssignShed implements OverloadObserver.
+func (NopObserver) AssignShed(time.Duration, overlay.NodeID, job.UUID, int) {}
+
+// ShedRedispatched implements OverloadObserver.
+func (NopObserver) ShedRedispatched(time.Duration, overlay.NodeID, job.UUID, bool) {}
+
+// PeerBusy implements OverloadObserver.
+func (NopObserver) PeerBusy(time.Duration, overlay.NodeID, overlay.NodeID) {}
+
+// SubmitRejected implements OverloadObserver.
+func (NopObserver) SubmitRejected(time.Duration, overlay.NodeID, job.UUID, int) {}
+
+// CommitSent implements SharedStateObserver.
+func (NopObserver) CommitSent(time.Duration, overlay.NodeID, job.UUID, overlay.NodeID, int) {}
+
+// CommitConflict implements SharedStateObserver.
+func (NopObserver) CommitConflict(time.Duration, overlay.NodeID, job.UUID, overlay.NodeID, string, int) {
+}
+
+// CommitGranted implements SharedStateObserver.
+func (NopObserver) CommitGranted(time.Duration, overlay.NodeID, job.UUID, overlay.NodeID, int) {}
+
+// CommitFallback implements SharedStateObserver.
+func (NopObserver) CommitFallback(time.Duration, overlay.NodeID, job.UUID, int) {}

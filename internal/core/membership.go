@@ -229,9 +229,7 @@ func (n *Node) suspectPeer(peer overlay.NodeID, ph *peerHealth) {
 	// (tombstone-free, so a refutation's next gossip re-admits it).
 	n.dirEvict(peer, directory.EvictSuspect)
 	n.emitSpan(TraceEvent{Kind: SpanSuspect, Peer: peer})
-	if n.mobs != nil {
-		n.mobs.PeerSuspected(n.env.Now(), n.id, peer)
-	}
+	n.obs.PeerSuspected(n.env.Now(), n.id, peer)
 	if ph.deadTimer != nil {
 		ph.deadTimer()
 	}
@@ -258,9 +256,7 @@ func (n *Node) refutePeer(peer overlay.NodeID) {
 			ph.deadTimer()
 			ph.deadTimer = nil
 		}
-		if n.mobs != nil {
-			n.mobs.PeerRefuted(n.env.Now(), n.id, peer)
-		}
+		n.obs.PeerRefuted(n.env.Now(), n.id, peer)
 	}
 }
 
@@ -287,9 +283,7 @@ func (n *Node) confirmDead(peer overlay.NodeID) {
 	// a strictly greater incarnation (a restarted instance) is re-learned.
 	n.dirInvalidate(peer)
 	n.emitSpan(TraceEvent{Kind: SpanPeerDead, Peer: peer})
-	if n.mobs != nil {
-		n.mobs.PeerDead(n.env.Now(), n.id, peer)
-	}
+	n.obs.PeerDead(n.env.Now(), n.id, peer)
 	if n.menv != nil {
 		n.menv.PruneLink(peer)
 		n.repairDegree(peer)
@@ -352,9 +346,7 @@ func (n *Node) repairDegree(dead overlay.NodeID) {
 			Kind: SpanRepair, Peer: cand, Origin: dead,
 			Fanout: len(n.env.Neighbors()),
 		})
-		if n.mobs != nil {
-			n.mobs.LinkRepaired(n.env.Now(), n.id, dead, cand)
-		}
+		n.obs.LinkRepaired(n.env.Now(), n.id, dead, cand)
 		return
 	}
 }

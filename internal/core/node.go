@@ -34,14 +34,8 @@ type Node struct {
 	env     Env
 	cfg     Config
 	obs     Observer
-	dobs    DeliveryObserver    // obs's optional delivery extension, nil otherwise
-	tobs    TraceObserver       // obs's optional trace extension, nil otherwise
-	mobs    MembershipObserver  // obs's optional membership extension, nil otherwise
-	robs    RecoveryObserver    // obs's optional recovery extension, nil otherwise
-	dirObs  DirectoryObserver   // obs's optional directory extension, nil otherwise
-	oobs    OverloadObserver    // obs's optional overload extension, nil otherwise
-	ssObs   SharedStateObserver // obs's optional shared-state extension, nil otherwise
-	menv    MembershipEnv       // env's optional overlay-surgery extension, nil otherwise
+	tobs    TraceObserver // obs's optional trace extension, nil otherwise
+	menv    MembershipEnv // env's optional overlay-surgery extension, nil otherwise
 	art     job.ARTModel
 
 	// journal is the optional write-ahead log of scheduler state
@@ -272,13 +266,7 @@ func NewNode(
 	if obs == nil {
 		obs = NopObserver{}
 	}
-	dobs, _ := obs.(DeliveryObserver)
 	tobs, _ := obs.(TraceObserver)
-	mobs, _ := obs.(MembershipObserver)
-	robs, _ := obs.(RecoveryObserver)
-	dirObs, _ := obs.(DirectoryObserver)
-	oobs, _ := obs.(OverloadObserver)
-	ssObs, _ := obs.(SharedStateObserver)
 	menv, _ := env.(MembershipEnv)
 	n := &Node{
 		id:         id,
@@ -286,13 +274,7 @@ func NewNode(
 		env:        env,
 		cfg:        cfg,
 		obs:        obs,
-		dobs:       dobs,
 		tobs:       tobs,
-		mobs:       mobs,
-		robs:       robs,
-		dirObs:     dirObs,
-		oobs:       oobs,
-		ssObs:      ssObs,
 		menv:       menv,
 		art:        art,
 		alive:      true,
@@ -317,10 +299,8 @@ func NewNode(
 		// its cluster view on the same substrate even with directed
 		// discovery off.
 		n.dir = directory.New(cfg.DirectoryCapacity, cfg.DirectoryTTL)
-		if dirObs != nil {
-			n.dir.OnEvict = func(subject overlay.NodeID, reason string) {
-				n.dirObs.DirectoryEvicted(n.env.Now(), n.id, subject, reason)
-			}
+		n.dir.OnEvict = func(subject overlay.NodeID, reason string) {
+			n.obs.DirectoryEvicted(n.env.Now(), n.id, subject, reason)
 		}
 	}
 	if cfg.SharedState() {
@@ -547,9 +527,7 @@ func (n *Node) Submit(p job.Profile) error {
 	// portal or push back on the client. Open commit rounds count — they
 	// are discoveries in flight like any other.
 	if inflight := len(n.pending) + len(n.commits); n.cfg.MaxPendingSubmits > 0 && inflight >= n.cfg.MaxPendingSubmits {
-		if n.oobs != nil {
-			n.oobs.SubmitRejected(n.env.Now(), n.id, p.UUID, inflight)
-		}
+		n.obs.SubmitRejected(n.env.Now(), n.id, p.UUID, inflight)
 		return fmt.Errorf("submit: node %v: %w", n.id, ErrOverloaded)
 	}
 	n.obs.JobSubmitted(n.env.Now(), n.id, p)
@@ -591,9 +569,7 @@ func (n *Node) startFlood(p job.Profile, retries int, parent uint64) {
 	ttl := n.cfg.RequestTTL
 	if retries > 0 && n.cfg.ReFloodTTLStep > 0 {
 		ttl += retries * n.cfg.ReFloodTTLStep
-		if n.mobs != nil {
-			n.mobs.FloodEscalated(n.env.Now(), n.id, p.UUID, retries, ttl)
-		}
+		n.obs.FloodEscalated(n.env.Now(), n.id, p.UUID, retries, ttl)
 	}
 	// The span rides the wire before the fan-out is known, so allocate it
 	// up front and emit the origin event after sending.
@@ -767,9 +743,7 @@ func (n *Node) assignRetryFire(uuid job.UUID) {
 		return
 	}
 	oa.attempts++
-	if n.dobs != nil {
-		n.dobs.AssignRetried(n.env.Now(), n.id, uuid, oa.attempts)
-	}
+	n.obs.AssignRetried(n.env.Now(), n.id, uuid, oa.attempts)
 	n.jlog(wal.Record{Type: wal.RecAssignSent, UUID: uuid, Profile: &oa.profile, Peer: oa.to, Init: oa.initiator, Reschedule: oa.reschedule, Attempts: oa.attempts, Span: oa.span})
 	n.emitSpan(TraceEvent{Kind: SpanRetry, UUID: uuid, Parent: oa.span, Peer: oa.to, Attempt: oa.attempts})
 	n.env.Send(oa.to, Message{Type: MsgAssign, From: oa.initiator, Job: oa.profile, Via: n.id, Span: oa.span})
@@ -792,17 +766,13 @@ func (n *Node) assignFallback(oa *outAssign) {
 		}
 		fb := n.emitSpan(TraceEvent{Kind: SpanFallback, UUID: uuid, Parent: oa.span, Peer: oa.to})
 		n.enqueueLocal(oa.profile, oa.initiator, fb)
-		if n.dobs != nil {
-			n.dobs.AssignRecovered(n.env.Now(), n.id, uuid)
-		}
+		n.obs.AssignRecovered(n.env.Now(), n.id, uuid)
 		return
 	}
 	if n.discoveryOpen(uuid) {
 		return
 	}
-	if n.dobs != nil {
-		n.dobs.AssignRecovered(n.env.Now(), n.id, uuid)
-	}
+	n.obs.AssignRecovered(n.env.Now(), n.id, uuid)
 	fb := n.emitSpan(TraceEvent{Kind: SpanFallback, UUID: uuid, Parent: oa.span, Peer: oa.to})
 	n.startDiscovery(oa.profile, 0, fb)
 }
@@ -1043,8 +1013,8 @@ func (n *Node) handleAssignAck(m Message) {
 	}
 	delete(n.outAssigns, m.Job.UUID)
 	n.jlog(wal.Record{Type: wal.RecAssignClosed, UUID: m.Job.UUID})
-	if oa.attempts > 0 && n.dobs != nil {
-		n.dobs.AssignRecovered(n.env.Now(), n.id, m.Job.UUID)
+	if oa.attempts > 0 {
+		n.obs.AssignRecovered(n.env.Now(), n.id, m.Job.UUID)
 	}
 }
 
@@ -1110,9 +1080,7 @@ func (n *Node) handleRequest(m Message) {
 			// not to count on this node (and to demote it in its directory)
 			// while the flood still relays toward unsaturated candidates.
 			depth := n.loadDepth()
-			if n.oobs != nil {
-				n.oobs.RequestShed(n.env.Now(), n.id, m.Job.UUID, depth)
-			}
+			n.obs.RequestShed(n.env.Now(), n.id, m.Job.UUID, depth)
 			bspan := n.emitSpan(TraceEvent{
 				Kind: SpanBusy, UUID: m.Job.UUID, Parent: m.Span,
 				Msg: MsgRequest, Peer: m.From, Fanout: depth,

@@ -64,9 +64,7 @@ func (n *Node) retryDelay(retries int) time.Duration {
 // its new load) so directed probes route around the hot node. Caller holds
 // the lock.
 func (n *Node) dirBusyDemote(peer overlay.NodeID) {
-	if n.oobs != nil {
-		n.oobs.PeerBusy(n.env.Now(), n.id, peer)
-	}
+	n.obs.PeerBusy(n.env.Now(), n.id, peer)
 	if n.dir != nil {
 		n.dir.Evict(peer, directory.EvictBusy)
 	}
@@ -80,9 +78,7 @@ func (n *Node) dirBusyDemote(peer overlay.NodeID) {
 // the re-dispatch without per-assignment state. Caller holds the lock.
 func (n *Node) shedAssign(m Message) {
 	depth := n.loadDepth()
-	if n.oobs != nil {
-		n.oobs.AssignShed(n.env.Now(), n.id, m.Job.UUID, depth)
-	}
+	n.obs.AssignShed(n.env.Now(), n.id, m.Job.UUID, depth)
 	bspan := n.emitSpan(TraceEvent{
 		Kind: SpanBusy, UUID: m.Job.UUID, Parent: m.Span,
 		Msg: MsgAssign, Peer: m.Via, Fanout: depth,
@@ -125,9 +121,7 @@ func (n *Node) handleBusy(m Message) {
 		if n.running != nil && n.running.UUID == uuid {
 			return
 		}
-		if n.oobs != nil {
-			n.oobs.ShedRedispatched(n.env.Now(), n.id, uuid, false)
-		}
+		n.obs.ShedRedispatched(n.env.Now(), n.id, uuid, false)
 		sh := n.emitSpan(TraceEvent{Kind: SpanShed, UUID: uuid, Parent: m.Span, Peer: m.From})
 		n.enqueueLocal(profile, initiator, sh)
 		return
@@ -135,9 +129,7 @@ func (n *Node) handleBusy(m Message) {
 	if n.discoveryOpen(uuid) {
 		return // a re-discovery for this job is already running
 	}
-	if n.oobs != nil {
-		n.oobs.ShedRedispatched(n.env.Now(), n.id, uuid, true)
-	}
+	n.obs.ShedRedispatched(n.env.Now(), n.id, uuid, true)
 	sh := n.emitSpan(TraceEvent{Kind: SpanShed, UUID: uuid, Parent: m.Span, Peer: m.From})
 	n.startDiscovery(profile, 0, sh)
 }

@@ -17,6 +17,8 @@ import (
 
 // recorder captures job lifecycle events for assertions.
 type recorder struct {
+	core.NopObserver
+
 	mu          sync.Mutex
 	submitted   map[job.UUID]time.Duration
 	assigned    map[job.UUID][]overlay.NodeID

@@ -216,9 +216,7 @@ func (n *Node) Recover() (RecoveryStats, error) {
 		n.armNotifyRetry(pn)
 	}
 
-	if n.robs != nil {
-		n.robs.NodeRecovered(now, n.id, stats.JobsRecovered, stats.ReplayRecords, stats.SnapshotAge)
-	}
+	n.obs.NodeRecovered(now, n.id, stats.JobsRecovered, stats.ReplayRecords, stats.SnapshotAge)
 
 	// Compact: the recovered state becomes the new snapshot, so the
 	// pre-crash journal is never replayed twice.

@@ -110,9 +110,7 @@ func (n *Node) dispatchCommit(pc *pendingCommit, d directory.Digest, parent uint
 		Kind: SpanCommit, UUID: uuid, Parent: parent,
 		Peer: d.Node, Cost: sched.Cost(d.Load), Attempt: pc.attempts,
 	})
-	if n.ssObs != nil {
-		n.ssObs.CommitSent(n.env.Now(), n.id, uuid, d.Node, pc.attempts)
-	}
+	n.obs.CommitSent(n.env.Now(), n.id, uuid, d.Node, pc.attempts)
 	n.env.Send(d.Node, Message{
 		Type: MsgCommit, From: n.id, Job: pc.profile,
 		Inc: d.Incarnation, Span: pc.span,
@@ -254,9 +252,7 @@ func (n *Node) commitTimeoutFire(uuid job.UUID) {
 // escalate to the classic flood. Caller holds the lock.
 func (n *Node) failCommit(pc *pendingCommit, reason string, conflictSpan uint64) {
 	uuid := pc.profile.UUID
-	if n.ssObs != nil {
-		n.ssObs.CommitConflict(n.env.Now(), n.id, uuid, pc.target, reason, pc.attempts)
-	}
+	n.obs.CommitConflict(n.env.Now(), n.id, uuid, pc.target, reason, pc.attempts)
 	if pc.attempts >= n.cfg.SharedStateRetries {
 		n.commitFallback(pc, conflictSpan)
 		return
@@ -297,9 +293,7 @@ func (n *Node) commitFallback(pc *pendingCommit, parent uint64) {
 	fb := n.emitSpan(TraceEvent{
 		Kind: SpanCommitFallback, UUID: uuid, Parent: parent, Attempt: pc.attempts,
 	})
-	if n.ssObs != nil {
-		n.ssObs.CommitFallback(n.env.Now(), n.id, uuid, pc.attempts)
-	}
+	n.obs.CommitFallback(n.env.Now(), n.id, uuid, pc.attempts)
 	n.startFlood(pc.profile, 0, fb)
 }
 
@@ -317,9 +311,7 @@ func (n *Node) commitGranted(pc *pendingCommit, m Message) {
 	delete(n.commits, uuid)
 	n.resolveCommitView(pc)
 	n.view.ObserveGranted(pc.target)
-	if n.ssObs != nil {
-		n.ssObs.CommitGranted(n.env.Now(), n.id, uuid, pc.target, pc.attempts)
-	}
+	n.obs.CommitGranted(n.env.Now(), n.id, uuid, pc.target, pc.attempts)
 	n.obs.JobAssigned(n.env.Now(), uuid, n.id, pc.target, 0, false)
 	n.trackAssignment(pc.profile, pc.target, 0, pc.span)
 }

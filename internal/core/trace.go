@@ -222,10 +222,14 @@ type TraceEvent struct {
 	Reason string
 }
 
-// TraceObserver is an optional extension of Observer receiving span events.
-// Like the other observer callbacks, TraceSpan runs on the node's execution
-// context while the node lock is held and must not call back into the node.
-// The node detects support once at construction with a type assertion.
+// TraceObserver is the one optional extension of Observer: it receives span
+// events. Every other event group is part of Observer itself; tracing stays
+// opt-in because it is not free. A node allocates span IDs and puts them on
+// the wire only when something consumes spans, so an observer that merely
+// embeds NopObserver must not switch tracing on. Like the other observer
+// callbacks, TraceSpan runs on the node's execution context while the node
+// lock is held and must not call back into the node. The node detects
+// support once at construction with a type assertion.
 type TraceObserver interface {
 	TraceSpan(ev TraceEvent)
 }

@@ -65,9 +65,12 @@ type Event struct {
 	Attempt int            `json:"attempt,omitempty"` // retry counter
 }
 
-// Writer is a core.Observer that appends one JSON line per event. It is
+// Writer is a core.Observer that appends one JSON line per lifecycle and
+// span event; plane events fall through to the embedded NopObserver. It is
 // safe for concurrent use; write errors are recorded and reported by Err.
 type Writer struct {
+	core.NopObserver
+
 	mu  sync.Mutex
 	w   *bufio.Writer
 	enc *json.Encoder
@@ -222,7 +225,9 @@ func Read(r io.Reader) ([]Event, error) {
 	return out, nil
 }
 
-// Tee fans events out to several observers.
+// Tee fans events out to several observers. Every member implements all of
+// core.Observer, so each method forwards unconditionally; only TraceSpan
+// filters, because tracing is the one opt-in extension.
 type Tee []core.Observer
 
 var _ core.Observer = Tee{}
@@ -273,220 +278,149 @@ func (t Tee) TraceSpan(ev core.TraceEvent) {
 	}
 }
 
-// AssignRetried implements core.DeliveryObserver, forwarding to the members
-// that implement it.
+// AssignRetried implements core.DeliveryObserver.
 func (t Tee) AssignRetried(at time.Duration, node overlay.NodeID, uuid job.UUID, attempt int) {
 	for _, o := range t {
-		if dobs, ok := o.(core.DeliveryObserver); ok {
-			dobs.AssignRetried(at, node, uuid, attempt)
-		}
+		o.AssignRetried(at, node, uuid, attempt)
 	}
 }
 
-// AssignRecovered implements core.DeliveryObserver, forwarding to the
-// members that implement it.
+// AssignRecovered implements core.DeliveryObserver.
 func (t Tee) AssignRecovered(at time.Duration, node overlay.NodeID, uuid job.UUID) {
 	for _, o := range t {
-		if dobs, ok := o.(core.DeliveryObserver); ok {
-			dobs.AssignRecovered(at, node, uuid)
-		}
+		o.AssignRecovered(at, node, uuid)
 	}
 }
 
-// PeerSuspected implements core.MembershipObserver, forwarding to the
-// members that implement it.
+// PeerSuspected implements core.MembershipObserver.
 func (t Tee) PeerSuspected(at time.Duration, node, peer overlay.NodeID) {
 	for _, o := range t {
-		if mobs, ok := o.(core.MembershipObserver); ok {
-			mobs.PeerSuspected(at, node, peer)
-		}
+		o.PeerSuspected(at, node, peer)
 	}
 }
 
-// PeerRefuted implements core.MembershipObserver, forwarding to the members
-// that implement it.
+// PeerRefuted implements core.MembershipObserver.
 func (t Tee) PeerRefuted(at time.Duration, node, peer overlay.NodeID) {
 	for _, o := range t {
-		if mobs, ok := o.(core.MembershipObserver); ok {
-			mobs.PeerRefuted(at, node, peer)
-		}
+		o.PeerRefuted(at, node, peer)
 	}
 }
 
-// PeerDead implements core.MembershipObserver, forwarding to the members
-// that implement it.
+// PeerDead implements core.MembershipObserver.
 func (t Tee) PeerDead(at time.Duration, node, peer overlay.NodeID) {
 	for _, o := range t {
-		if mobs, ok := o.(core.MembershipObserver); ok {
-			mobs.PeerDead(at, node, peer)
-		}
+		o.PeerDead(at, node, peer)
 	}
 }
 
-// LinkRepaired implements core.MembershipObserver, forwarding to the members
-// that implement it.
+// LinkRepaired implements core.MembershipObserver.
 func (t Tee) LinkRepaired(at time.Duration, node, dead, replacement overlay.NodeID) {
 	for _, o := range t {
-		if mobs, ok := o.(core.MembershipObserver); ok {
-			mobs.LinkRepaired(at, node, dead, replacement)
-		}
+		o.LinkRepaired(at, node, dead, replacement)
 	}
 }
 
-// FloodEscalated implements core.MembershipObserver, forwarding to the
-// members that implement it.
+// FloodEscalated implements core.MembershipObserver.
 func (t Tee) FloodEscalated(at time.Duration, node overlay.NodeID, uuid job.UUID, attempt, ttl int) {
 	for _, o := range t {
-		if mobs, ok := o.(core.MembershipObserver); ok {
-			mobs.FloodEscalated(at, node, uuid, attempt, ttl)
-		}
+		o.FloodEscalated(at, node, uuid, attempt, ttl)
 	}
 }
 
-// NodeRecovered implements core.RecoveryObserver, forwarding to the members
-// that implement it.
+// NodeRecovered implements core.RecoveryObserver.
 func (t Tee) NodeRecovered(at time.Duration, node overlay.NodeID, jobsRecovered, replayRecords int, snapshotAge time.Duration) {
 	for _, o := range t {
-		if robs, ok := o.(core.RecoveryObserver); ok {
-			robs.NodeRecovered(at, node, jobsRecovered, replayRecords, snapshotAge)
-		}
+		o.NodeRecovered(at, node, jobsRecovered, replayRecords, snapshotAge)
 	}
 }
 
-// DirectoryHit implements core.DirectoryObserver, forwarding to the members
-// that implement it.
+// DirectoryHit implements core.DirectoryObserver.
 func (t Tee) DirectoryHit(at time.Duration, node overlay.NodeID, uuid job.UUID, probes int) {
 	for _, o := range t {
-		if dobs, ok := o.(core.DirectoryObserver); ok {
-			dobs.DirectoryHit(at, node, uuid, probes)
-		}
+		o.DirectoryHit(at, node, uuid, probes)
 	}
 }
 
-// DirectoryMiss implements core.DirectoryObserver, forwarding to the members
-// that implement it.
+// DirectoryMiss implements core.DirectoryObserver.
 func (t Tee) DirectoryMiss(at time.Duration, node overlay.NodeID, uuid job.UUID) {
 	for _, o := range t {
-		if dobs, ok := o.(core.DirectoryObserver); ok {
-			dobs.DirectoryMiss(at, node, uuid)
-		}
+		o.DirectoryMiss(at, node, uuid)
 	}
 }
 
-// DirectoryFallback implements core.DirectoryObserver, forwarding to the
-// members that implement it.
+// DirectoryFallback implements core.DirectoryObserver.
 func (t Tee) DirectoryFallback(at time.Duration, node overlay.NodeID, uuid job.UUID, offers int) {
 	for _, o := range t {
-		if dobs, ok := o.(core.DirectoryObserver); ok {
-			dobs.DirectoryFallback(at, node, uuid, offers)
-		}
+		o.DirectoryFallback(at, node, uuid, offers)
 	}
 }
 
-// DirectoryEvicted implements core.DirectoryObserver, forwarding to the
-// members that implement it.
+// DirectoryEvicted implements core.DirectoryObserver.
 func (t Tee) DirectoryEvicted(at time.Duration, node, subject overlay.NodeID, reason string) {
 	for _, o := range t {
-		if dobs, ok := o.(core.DirectoryObserver); ok {
-			dobs.DirectoryEvicted(at, node, subject, reason)
-		}
+		o.DirectoryEvicted(at, node, subject, reason)
 	}
 }
 
-// CommitSent implements core.SharedStateObserver, forwarding to the
-// members that implement it.
+// CommitSent implements core.SharedStateObserver.
 func (t Tee) CommitSent(at time.Duration, node overlay.NodeID, uuid job.UUID, target overlay.NodeID, attempt int) {
 	for _, o := range t {
-		if sobs, ok := o.(core.SharedStateObserver); ok {
-			sobs.CommitSent(at, node, uuid, target, attempt)
-		}
+		o.CommitSent(at, node, uuid, target, attempt)
 	}
 }
 
-// CommitConflict implements core.SharedStateObserver, forwarding to the
-// members that implement it.
+// CommitConflict implements core.SharedStateObserver.
 func (t Tee) CommitConflict(at time.Duration, node overlay.NodeID, uuid job.UUID, target overlay.NodeID, reason string, attempt int) {
 	for _, o := range t {
-		if sobs, ok := o.(core.SharedStateObserver); ok {
-			sobs.CommitConflict(at, node, uuid, target, reason, attempt)
-		}
+		o.CommitConflict(at, node, uuid, target, reason, attempt)
 	}
 }
 
-// CommitGranted implements core.SharedStateObserver, forwarding to the
-// members that implement it.
+// CommitGranted implements core.SharedStateObserver.
 func (t Tee) CommitGranted(at time.Duration, node overlay.NodeID, uuid job.UUID, target overlay.NodeID, attempts int) {
 	for _, o := range t {
-		if sobs, ok := o.(core.SharedStateObserver); ok {
-			sobs.CommitGranted(at, node, uuid, target, attempts)
-		}
+		o.CommitGranted(at, node, uuid, target, attempts)
 	}
 }
 
-// CommitFallback implements core.SharedStateObserver, forwarding to the
-// members that implement it.
+// CommitFallback implements core.SharedStateObserver.
 func (t Tee) CommitFallback(at time.Duration, node overlay.NodeID, uuid job.UUID, attempts int) {
 	for _, o := range t {
-		if sobs, ok := o.(core.SharedStateObserver); ok {
-			sobs.CommitFallback(at, node, uuid, attempts)
-		}
+		o.CommitFallback(at, node, uuid, attempts)
 	}
 }
 
-// RequestShed implements core.OverloadObserver, forwarding to the members
-// that implement it.
+// RequestShed implements core.OverloadObserver.
 func (t Tee) RequestShed(at time.Duration, node overlay.NodeID, uuid job.UUID, depth int) {
 	for _, o := range t {
-		if oobs, ok := o.(core.OverloadObserver); ok {
-			oobs.RequestShed(at, node, uuid, depth)
-		}
+		o.RequestShed(at, node, uuid, depth)
 	}
 }
 
-// AssignShed implements core.OverloadObserver, forwarding to the members
-// that implement it.
+// AssignShed implements core.OverloadObserver.
 func (t Tee) AssignShed(at time.Duration, node overlay.NodeID, uuid job.UUID, depth int) {
 	for _, o := range t {
-		if oobs, ok := o.(core.OverloadObserver); ok {
-			oobs.AssignShed(at, node, uuid, depth)
-		}
+		o.AssignShed(at, node, uuid, depth)
 	}
 }
 
-// ShedRedispatched implements core.OverloadObserver, forwarding to the
-// members that implement it.
+// ShedRedispatched implements core.OverloadObserver.
 func (t Tee) ShedRedispatched(at time.Duration, node overlay.NodeID, uuid job.UUID, reflooded bool) {
 	for _, o := range t {
-		if oobs, ok := o.(core.OverloadObserver); ok {
-			oobs.ShedRedispatched(at, node, uuid, reflooded)
-		}
+		o.ShedRedispatched(at, node, uuid, reflooded)
 	}
 }
 
-// PeerBusy implements core.OverloadObserver, forwarding to the members that
-// implement it.
+// PeerBusy implements core.OverloadObserver.
 func (t Tee) PeerBusy(at time.Duration, node, peer overlay.NodeID) {
 	for _, o := range t {
-		if oobs, ok := o.(core.OverloadObserver); ok {
-			oobs.PeerBusy(at, node, peer)
-		}
+		o.PeerBusy(at, node, peer)
 	}
 }
 
-// SubmitRejected implements core.OverloadObserver, forwarding to the members
-// that implement it.
+// SubmitRejected implements core.OverloadObserver.
 func (t Tee) SubmitRejected(at time.Duration, node overlay.NodeID, uuid job.UUID, pending int) {
 	for _, o := range t {
-		if oobs, ok := o.(core.OverloadObserver); ok {
-			oobs.SubmitRejected(at, node, uuid, pending)
-		}
+		o.SubmitRejected(at, node, uuid, pending)
 	}
 }
-
-var (
-	_ core.MembershipObserver  = Tee{}
-	_ core.RecoveryObserver    = Tee{}
-	_ core.DirectoryObserver   = Tee{}
-	_ core.OverloadObserver    = Tee{}
-	_ core.SharedStateObserver = Tee{}
-)

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/smartgrid/aria/internal/core"
 	"github.com/smartgrid/aria/internal/job"
 	"github.com/smartgrid/aria/internal/overlay"
 	"github.com/smartgrid/aria/internal/resource"
@@ -102,32 +101,6 @@ func TestWriterRecordsError(t *testing.T) {
 	}
 	if w.Err() == nil {
 		t.Fatal("Err() lost the error")
-	}
-}
-
-func TestTeeFansOut(t *testing.T) {
-	var buf1, buf2 bytes.Buffer
-	w1, w2 := NewWriter(&buf1), NewWriter(&buf2)
-	tee := Tee{w1, w2}
-	var obs core.Observer = tee
-	j := sampleJob()
-	obs.JobSubmitted(time.Minute, 1, j.Profile)
-	obs.JobAssigned(time.Minute, j.UUID, 1, 2, 5, false)
-	obs.JobStarted(time.Minute, 2, j.UUID)
-	obs.JobCompleted(2*time.Minute, 2, j)
-	obs.JobFailed(3*time.Minute, 1, j.UUID, "x")
-	if err := w1.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := w2.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if buf1.String() != buf2.String() {
-		t.Fatal("tee outputs diverged")
-	}
-	events, err := Read(&buf1)
-	if err != nil || len(events) != 5 {
-		t.Fatalf("tee events: %d %v", len(events), err)
 	}
 }
 

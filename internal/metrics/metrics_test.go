@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -225,5 +226,51 @@ func TestJainIndex(t *testing.T) {
 	res2 := r2.Result("t", 1, 4, time.Hour, time.Minute)
 	if res2.LoadJainIndex < 0.249 || res2.LoadJainIndex > 0.251 {
 		t.Fatalf("Jain = %v, want 0.25 for one-of-four hot spot", res2.LoadJainIndex)
+	}
+}
+
+// TestPlaneCountersConcurrentSnapshot feeds one PlaneCounters from several
+// goroutines while another snapshots it, as ariad's transports and its
+// /debug/vars handler do, then checks the totals and that a snapshot's maps
+// are copies.
+func TestPlaneCountersConcurrentSnapshot(t *testing.T) {
+	const workers, events = 4, 200
+	var p PlaneCounters
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < events; i++ {
+			_ = p.Snapshot()
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < events; i++ {
+				p.PeerSuspected(0, 1, 2)
+				p.DirectoryEvicted(0, 1, 2, "stale")
+				p.CommitConflict(0, 1, "u", 2, "busy", 1)
+				p.NodeRecovered(0, 1, 2, 3, time.Duration(i))
+			}
+		}()
+	}
+	wg.Wait()
+	<-done
+
+	got := p.Snapshot()
+	n := workers * events
+	if got.Membership.Suspected != n || got.Directory.Evictions["stale"] != n ||
+		got.SharedState.Conflicts["busy"] != n || got.Recovery.JobsRecovered != 2*n ||
+		got.Recovery.ReplayRecords != 3*n || got.Recovery.MaxSnapshotAge != events-1 {
+		t.Fatalf("snapshot %+v", got)
+	}
+	got.Directory.Evictions["stale"] = 0
+	if again := p.Snapshot(); again.Directory.Evictions["stale"] != n {
+		t.Fatal("Snapshot shares its eviction map with the counters")
+	}
+	if empty := (&PlaneCounters{}).Snapshot(); empty.Directory.Evictions != nil || empty.SharedState.Conflicts != nil {
+		t.Fatalf("a plane that never fired has non-nil maps: %+v", empty)
 	}
 }

@@ -56,6 +56,10 @@ func (o JobOutcome) MissedDeadline() bool {
 // Completions are idempotent per job UUID: should a failsafe resubmission
 // ever race a surviving assignee, only the first completion counts.
 type Recorder struct {
+	// PlaneCounters counts the plane events; the Recorder adds the job
+	// lifecycle, traffic, idle samples and span counts on top.
+	PlaneCounters
+
 	mu          sync.Mutex
 	submitted   map[job.UUID]time.Duration
 	assignments int
@@ -70,56 +74,15 @@ type Recorder struct {
 	// a fixed array keeps the per-message hot path free of map probes.
 	traffic [int(core.MsgConflict) + 1]Traffic
 
-	assignRetries    int
-	assignRecoveries int
-	linkFaults       faults.Stats
-
-	// Membership plane counters (liveness detector + overlay repair).
-	peersSuspected  int
-	peersRefuted    int
-	peersDead       int
-	linksRepaired   int
-	floodsEscalated int
-
-	// submissionsLost counts workload submissions that found no living
-	// initiator (churn killed the drawn nodes); they never entered the
-	// protocol and are invisible to every other counter.
+	// Harness-side counters: events the protocol never sees, so no node
+	// reports them. submissionsLost counts workload submissions that found
+	// no living initiator (churn killed the drawn nodes); submissionsShed
+	// those bounced by admission control at every redrawn portal; restarts
+	// the nodes brought back after a crash, journaled or amnesiac.
+	linkFaults      faults.Stats
 	submissionsLost int
-
-	// Recovery plane counters (write-ahead journal + crash restart).
-	restarts       int
-	jobsRecovered  int
-	replayRecords  int
-	maxSnapshotAge time.Duration
-
-	// Directory plane counters (gossip-fed cache + directed discovery).
-	// Probes are counted at the initiator — on the wire a directed REQUEST
-	// is indistinguishable from a flood copy, so the traffic split between
-	// directed and flooded discovery is measured at the source.
-	dirHits      int
-	dirMisses    int
-	dirFallbacks int
-	dirProbes    int
-	dirEvictions map[string]int
-
-	// Overload plane counters (bounded queues + BUSY shedding + admission
-	// control). submissionsShed counts workload submissions bounced by
-	// admission control at every redrawn portal — like submissionsLost,
-	// they never entered the protocol.
-	requestsShed    int
-	assignsShed     int
-	shedsReflooded  int
-	shedsReenqueued int
-	peersBusy       int
-	submitRejects   int
 	submissionsShed int
-
-	// Shared-state plane counters (optimistic commits + conflict retries).
-	commitsSent         int
-	commitConflicts     map[string]int
-	commitsGranted      int
-	commitGrantAttempts int
-	commitFallbacks     int
+	restarts        int
 
 	// Per-kind trace-plane counters; populated only when nodes run with a
 	// trace observer (the recorder rides an eventlog.Tee next to a
@@ -128,14 +91,8 @@ type Recorder struct {
 }
 
 var (
-	_ core.Observer            = (*Recorder)(nil)
-	_ core.DeliveryObserver    = (*Recorder)(nil)
-	_ core.TraceObserver       = (*Recorder)(nil)
-	_ core.MembershipObserver  = (*Recorder)(nil)
-	_ core.RecoveryObserver    = (*Recorder)(nil)
-	_ core.DirectoryObserver   = (*Recorder)(nil)
-	_ core.OverloadObserver    = (*Recorder)(nil)
-	_ core.SharedStateObserver = (*Recorder)(nil)
+	_ core.Observer      = (*Recorder)(nil)
+	_ core.TraceObserver = (*Recorder)(nil)
 )
 
 // NewRecorder returns an empty recorder.
@@ -145,9 +102,6 @@ func NewRecorder() *Recorder {
 		starts:    make(map[job.UUID]int),
 		outcomes:  make(map[job.UUID]JobOutcome),
 		spans:     make(map[core.SpanKind]int),
-
-		dirEvictions:    make(map[string]int),
-		commitConflicts: make(map[string]int),
 	}
 }
 
@@ -207,61 +161,12 @@ func (r *Recorder) JobFailed(time.Duration, overlay.NodeID, job.UUID, string) {
 	r.failed++
 }
 
-// AssignRetried implements core.DeliveryObserver.
-func (r *Recorder) AssignRetried(time.Duration, overlay.NodeID, job.UUID, int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.assignRetries++
-}
-
-// AssignRecovered implements core.DeliveryObserver.
-func (r *Recorder) AssignRecovered(time.Duration, overlay.NodeID, job.UUID) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.assignRecoveries++
-}
-
 // TraceSpan implements core.TraceObserver, counting span events per kind.
 // The full event stream is retained by a trace.Collector, not here.
 func (r *Recorder) TraceSpan(ev core.TraceEvent) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.spans[ev.Kind]++
-}
-
-// PeerSuspected implements core.MembershipObserver.
-func (r *Recorder) PeerSuspected(time.Duration, overlay.NodeID, overlay.NodeID) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.peersSuspected++
-}
-
-// PeerRefuted implements core.MembershipObserver.
-func (r *Recorder) PeerRefuted(time.Duration, overlay.NodeID, overlay.NodeID) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.peersRefuted++
-}
-
-// PeerDead implements core.MembershipObserver.
-func (r *Recorder) PeerDead(time.Duration, overlay.NodeID, overlay.NodeID) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.peersDead++
-}
-
-// LinkRepaired implements core.MembershipObserver.
-func (r *Recorder) LinkRepaired(time.Duration, overlay.NodeID, overlay.NodeID, overlay.NodeID) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.linksRepaired++
-}
-
-// FloodEscalated implements core.MembershipObserver.
-func (r *Recorder) FloodEscalated(time.Duration, overlay.NodeID, job.UUID, int, int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.floodsEscalated++
 }
 
 // NodeRestarted records one node coming back after a crash (whether or not
@@ -271,128 +176,6 @@ func (r *Recorder) NodeRestarted() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.restarts++
-}
-
-// NodeRecovered implements core.RecoveryObserver: one journaled node rebuilt
-// its scheduler state after a restart.
-func (r *Recorder) NodeRecovered(_ time.Duration, _ overlay.NodeID, jobsRecovered, replayRecords int, snapshotAge time.Duration) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.jobsRecovered += jobsRecovered
-	r.replayRecords += replayRecords
-	if snapshotAge > r.maxSnapshotAge {
-		r.maxSnapshotAge = snapshotAge
-	}
-}
-
-// DirectoryHit implements core.DirectoryObserver: one discovery round went
-// directed, sending probes targeted REQUESTs instead of a flood.
-func (r *Recorder) DirectoryHit(_ time.Duration, _ overlay.NodeID, _ job.UUID, probes int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.dirHits++
-	r.dirProbes += probes
-}
-
-// DirectoryMiss implements core.DirectoryObserver: the cache held no
-// satisfying candidate and discovery flooded directly.
-func (r *Recorder) DirectoryMiss(time.Duration, overlay.NodeID, job.UUID) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.dirMisses++
-}
-
-// DirectoryFallback implements core.DirectoryObserver: a directed round
-// starved and escalated to the classic flood.
-func (r *Recorder) DirectoryFallback(time.Duration, overlay.NodeID, job.UUID, int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.dirFallbacks++
-}
-
-// DirectoryEvicted implements core.DirectoryObserver, counting cache
-// evictions by reason (capacity, stale, suspect, dead, unreachable).
-func (r *Recorder) DirectoryEvicted(_ time.Duration, _, _ overlay.NodeID, reason string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.dirEvictions[reason]++
-}
-
-// RequestShed implements core.OverloadObserver: a saturated provider
-// declined to offer on a matching REQUEST.
-func (r *Recorder) RequestShed(time.Duration, overlay.NodeID, job.UUID, int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.requestsShed++
-}
-
-// AssignShed implements core.OverloadObserver: a saturated provider refused
-// an incoming ASSIGN with a BUSY reply.
-func (r *Recorder) AssignShed(time.Duration, overlay.NodeID, job.UUID, int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.assignsShed++
-}
-
-// ShedRedispatched implements core.OverloadObserver: the sender of a shed
-// ASSIGN re-homed the job.
-func (r *Recorder) ShedRedispatched(_ time.Duration, _ overlay.NodeID, _ job.UUID, reflooded bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if reflooded {
-		r.shedsReflooded++
-	} else {
-		r.shedsReenqueued++
-	}
-}
-
-// PeerBusy implements core.OverloadObserver: a node learned a peer is
-// saturated from a BUSY reply.
-func (r *Recorder) PeerBusy(time.Duration, overlay.NodeID, overlay.NodeID) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.peersBusy++
-}
-
-// SubmitRejected implements core.OverloadObserver: admission control bounced
-// a local Submit.
-func (r *Recorder) SubmitRejected(time.Duration, overlay.NodeID, job.UUID, int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.submitRejects++
-}
-
-// CommitSent implements core.SharedStateObserver: an initiator committed a
-// job optimistically against its cached cluster view.
-func (r *Recorder) CommitSent(time.Duration, overlay.NodeID, job.UUID, overlay.NodeID, int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.commitsSent++
-}
-
-// CommitConflict implements core.SharedStateObserver, counting failed
-// commit attempts by reason (busy, stale, lost, timeout).
-func (r *Recorder) CommitConflict(_ time.Duration, _ overlay.NodeID, _ job.UUID, _ overlay.NodeID, reason string, _ int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.commitConflicts[reason]++
-}
-
-// CommitGranted implements core.SharedStateObserver: a provider accepted
-// the commit after the given number of attempts.
-func (r *Recorder) CommitGranted(_ time.Duration, _ overlay.NodeID, _ job.UUID, _ overlay.NodeID, attempts int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.commitsGranted++
-	r.commitGrantAttempts += attempts
-}
-
-// CommitFallback implements core.SharedStateObserver: K failed commits
-// exhausted the cached view and discovery escalated to the flood.
-func (r *Recorder) CommitFallback(time.Duration, overlay.NodeID, job.UUID, int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.commitFallbacks++
 }
 
 // SubmissionShed records one workload submission that admission control

@@ -330,60 +330,19 @@ func (r *Recorder) Result(scenario string, seed int64, nodes int, horizon, binWi
 			res.DuplicateStarts += count - 1
 		}
 	}
-	res.Faults = FaultCounters{
-		Dropped:          r.linkFaults.Lost(),
-		PartitionDropped: r.linkFaults.PartitionDropped,
-		Duplicated:       r.linkFaults.Duplicated,
-		Retried:          r.assignRetries,
-		Recovered:        r.assignRecoveries,
-	}
-	res.Membership = MembershipCounters{
-		Suspected: r.peersSuspected,
-		Refuted:   r.peersRefuted,
-		Dead:      r.peersDead,
-		Repaired:  r.linksRepaired,
-		ReFloods:  r.floodsEscalated,
-	}
+	planes := r.PlaneCounters.Snapshot()
+	res.Faults = planes.Faults
+	res.Faults.Dropped = r.linkFaults.Lost()
+	res.Faults.PartitionDropped = r.linkFaults.PartitionDropped
+	res.Faults.Duplicated = r.linkFaults.Duplicated
+	res.Membership = planes.Membership
 	res.SubmissionsLost = r.submissionsLost
-	res.Directory = DirectoryCounters{
-		Hits:      r.dirHits,
-		Probes:    r.dirProbes,
-		Misses:    r.dirMisses,
-		Fallbacks: r.dirFallbacks,
-	}
-	if len(r.dirEvictions) > 0 {
-		res.Directory.Evictions = make(map[string]int, len(r.dirEvictions))
-		for reason, c := range r.dirEvictions {
-			res.Directory.Evictions[reason] = c
-		}
-	}
-	res.Overload = OverloadCounters{
-		RequestsShed:     r.requestsShed,
-		AssignsShed:      r.assignsShed,
-		Reflooded:        r.shedsReflooded,
-		Reenqueued:       r.shedsReenqueued,
-		PeersBusy:        r.peersBusy,
-		SubmitRejections: r.submitRejects,
-		SubmissionsShed:  r.submissionsShed,
-	}
-	res.SharedState = SharedStateCounters{
-		Commits:       r.commitsSent,
-		Granted:       r.commitsGranted,
-		GrantAttempts: r.commitGrantAttempts,
-		Fallbacks:     r.commitFallbacks,
-	}
-	if len(r.commitConflicts) > 0 {
-		res.SharedState.Conflicts = make(map[string]int, len(r.commitConflicts))
-		for reason, c := range r.commitConflicts {
-			res.SharedState.Conflicts[reason] = c
-		}
-	}
-	res.Recovery = RecoveryCounters{
-		Restarts:       r.restarts,
-		JobsRecovered:  r.jobsRecovered,
-		ReplayRecords:  r.replayRecords,
-		MaxSnapshotAge: r.maxSnapshotAge,
-	}
+	res.Directory = planes.Directory
+	res.Overload = planes.Overload
+	res.Overload.SubmissionsShed = r.submissionsShed
+	res.SharedState = planes.SharedState
+	res.Recovery = planes.Recovery
+	res.Recovery.Restarts = r.restarts
 	if len(r.spans) > 0 {
 		res.Spans = make(map[core.SpanKind]int, len(r.spans))
 		for k, c := range r.spans {

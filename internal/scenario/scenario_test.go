@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -339,6 +340,53 @@ func TestExtensionScenariosValid(t *testing.T) {
 		if err := c.Validate(); err != nil {
 			t.Errorf("extension %s invalid: %v", c.Name, err)
 		}
+	}
+}
+
+// TestProtocolPlaneCombinationsValid is the accepting half of the
+// core.Config.Validate table: one protocol config per plane combination the
+// catalog uses, each taken from the first scenario that uses it.
+func TestProtocolPlaneCombinationsValid(t *testing.T) {
+	seen := make(map[string]string)
+	for _, c := range append(Catalog(), ExtensionScenarios()...) {
+		p := c.Protocol
+		var planes []string
+		for _, plane := range []struct {
+			name string
+			on   bool
+		}{
+			{"resched", p.Rescheduling()},
+			{"multi", p.MultiAssign > 1},
+			{"ack", p.AssignAck},
+			{"notify", p.NotifyInitiator},
+			{"membership", p.Membership()},
+			{"reflood", p.ReFloodTTLStep > 0},
+			{"directory", p.Directory()},
+			{"shed", p.Overload()},
+			{"admission", p.MaxPendingSubmits > 0},
+			{"backoff", p.RetryBackoffCap > 0},
+			{"shared", p.SharedState()},
+		} {
+			if plane.on {
+				planes = append(planes, plane.name)
+			}
+		}
+		combo := strings.Join(planes, "+")
+		if combo == "" {
+			combo = "flood-only"
+		}
+		if _, dup := seen[combo]; dup {
+			continue
+		}
+		seen[combo] = c.Name
+		t.Run(combo, func(t *testing.T) {
+			if err := p.Validate(); err != nil {
+				t.Errorf("%s (%s) rejected: %v", c.Name, combo, err)
+			}
+		})
+	}
+	if len(seen) < 8 {
+		t.Errorf("catalog covers %d plane combinations, want at least 8: %v", len(seen), seen)
 	}
 }
 
