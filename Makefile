@@ -8,8 +8,10 @@ build:
 test:
 	$(GO) test ./...
 
+# vet also fails on any file gofmt would rewrite.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # race is the full concurrency gate: vet plus every test under the race
 # detector (the live transports and control plane are the concurrent paths,
@@ -56,9 +58,11 @@ figs-check:
 	echo "figs-check: $$(ls "$$dir/figs" | wc -l) artifacts match results/"
 
 # fuzz gives the wire, journal, directory-digest, and gateway-body
-# codecs a short adversarial shake (see internal/transport/codec_fuzz_test.go,
+# codecs a short adversarial shake, and drives the directory store against
+# its reference copy (see internal/transport/codec_fuzz_test.go,
 # internal/wal/codec_fuzz_test.go, internal/directory/codec_fuzz_test.go,
-# and cmd/ariagate/fuzz_test.go for the seed corpora).
+# internal/directory/store_fuzz_test.go, and cmd/ariagate/fuzz_test.go for
+# the seed corpora).
 fuzz:
 	$(GO) test ./internal/transport/ -fuzz FuzzReadMessage -fuzztime 30s
 	$(GO) test ./internal/transport/ -fuzz FuzzFrameCorruption -fuzztime 30s
@@ -66,6 +70,7 @@ fuzz:
 	$(GO) test ./internal/wal/ -fuzz FuzzDecodeRecords -fuzztime 30s
 	$(GO) test ./internal/wal/ -fuzz FuzzDecodeState -fuzztime 30s
 	$(GO) test ./internal/directory/ -fuzz FuzzDecodeDigests -fuzztime 30s
+	$(GO) test ./internal/directory/ -fuzz FuzzStoreDifferential -fuzztime 30s
 	$(GO) test ./cmd/ariagate/ -fuzz FuzzParseSpecs -fuzztime 30s
 
 # smoke mirrors the CI trace smokes: one traced repetition each of the

@@ -62,28 +62,31 @@ func (n *Node) selfDirPayload() []byte {
 
 // dirGossipPayload builds the digest payload for a PING or PONG: the node's
 // own digest first (the freshest fact it has), then DirectoryGossip cache
-// samples rotated across calls. Caller holds the lock.
+// samples rotated across calls. The samples pass through the node's digest
+// scratch, so the encoded payload is the only allocation. Caller holds the
+// lock.
 func (n *Node) dirGossipPayload() []byte {
 	if n.dir == nil {
 		return nil
 	}
-	ds := make([]directory.Digest, 0, 1+n.cfg.DirectoryGossip)
-	ds = append(ds, n.selfDigest())
-	ds = append(ds, n.dir.Gossip(n.cfg.DirectoryGossip, n.env.Now())...)
-	return directory.Encode(ds)
+	n.dirScratch = append(n.dirScratch[:0], n.selfDigest())
+	n.dirScratch = n.dir.AppendGossip(n.dirScratch, n.cfg.DirectoryGossip, n.env.Now())
+	return directory.Encode(n.dirScratch)
 }
 
-// learnDigests folds a message's digest payload into the cache. Undecodable
-// payloads are dropped whole; digests about this node itself or about peers
-// already confirmed dead are skipped. Caller holds the lock.
+// learnDigests folds a message's digest payload into the cache, decoding
+// through the node's digest scratch. Undecodable payloads are dropped whole;
+// digests about this node itself or about peers already confirmed dead are
+// skipped. Caller holds the lock.
 func (n *Node) learnDigests(m Message) {
 	if n.dir == nil || len(m.Dir) == 0 {
 		return
 	}
-	ds, err := directory.Decode(m.Dir)
+	ds, err := directory.AppendDecode(n.dirScratch[:0], m.Dir)
 	if err != nil {
 		return
 	}
+	n.dirScratch = ds
 	now := n.env.Now()
 	for _, d := range ds {
 		if d.Node == n.id || n.peerDead(d.Node) {
@@ -125,29 +128,22 @@ func (n *Node) dirInvalidate(peer overlay.NodeID) {
 // the lock.
 func (n *Node) startDirected(p job.Profile, parent uint64) bool {
 	now := n.env.Now()
-	cands := n.dir.Candidates(p.Req, n.dir.Len(), now)
-	usable := cands[:0]
-	for _, d := range cands {
-		if d.Node == n.id || n.peerDead(d.Node) || n.peerSuspect(d.Node) {
-			continue
-		}
-		usable = append(usable, d)
+	// The best DirectedCandidates usable entries, least-loaded first
+	// (join-shortest-known-queue), so the probes spread load the way a
+	// flood's global cost view would; the hint only picks who gets probed
+	// — live ACCEPT costs still decide the assignment.
+	budget := n.cfg.DirectedCandidates
+	usable := func(node overlay.NodeID, _ int) bool {
+		return node != n.id && !n.peerDead(node) && !n.peerSuspect(node)
 	}
-	if len(usable) < n.cfg.DirectedCandidates {
+	targets := n.dir.AppendBest(make([]directory.Digest, 0, budget), p.Req, budget, now, usable)
+	if len(targets) < budget {
 		// Not enough knowledge to fill the probe budget: a cold or sparse
 		// cache would aim the whole round at its few entries and herd load
 		// onto them. Flood instead — every ACCEPT it draws carries the
 		// sender's digest, so the miss itself warms the cache.
 		n.obs.DirectoryMiss(now, n.id, p.UUID)
 		return false
-	}
-	// usable arrives least-loaded first (join-shortest-known-queue), so the
-	// head of the list spreads load the way a flood's global cost view
-	// would; the hint only picks who gets probed — live ACCEPT costs still
-	// decide the assignment.
-	targets := usable
-	if budget := n.cfg.DirectedCandidates; len(usable) > budget {
-		targets = usable[:budget]
 	}
 	pend := &pendingJob{profile: p, directed: true}
 	if cost, ok := n.selfOffer(p); ok {

@@ -115,7 +115,7 @@ func TestFloodRedundancyAccounting(t *testing.T) {
 	// transmits at most RequestFanout copies exactly once.
 	reached := len(deliveries)
 	ratio := float64(len(reqs)) / float64(reached)
-	if maxRatio := float64((reached + 1) * cfg.RequestFanout) / float64(reached); ratio > maxRatio {
+	if maxRatio := float64((reached+1)*cfg.RequestFanout) / float64(reached); ratio > maxRatio {
 		t.Fatalf("redundancy ratio %.2f exceeds the structural bound %.2f (%d transmissions, %d nodes reached)",
 			ratio, maxRatio, len(reqs), reached)
 	}

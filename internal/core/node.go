@@ -106,9 +106,11 @@ type Node struct {
 
 	// Directory plane state (nil when directed discovery is disabled): the
 	// gossip-fed profile cache and the restart counter stamped into the
-	// node's own digest (encoded fresh per send, so the load hint is live).
+	// node's own digest (encoded fresh per send, so the load hint is live),
+	// plus the scratch digests gossip payloads are built and decoded in.
 	dir         *directory.Store
 	incarnation uint64
+	dirScratch  []directory.Digest
 
 	// Shared-state plane state (nil when the optimistic-commit arm is
 	// disabled): the cluster view layered on the directory store, the open

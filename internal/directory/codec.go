@@ -64,15 +64,17 @@ const maxLoad = 1 << 20
 // [1,2), so (perf-1)·65536 always fits uint16 and decodes back into range.
 const perfScale = 65536
 
-// Encode packs digests into the wire payload. Entries beyond MaxWireDigests
-// are dropped (callers gossip small samples; the cap is a codec guarantee,
-// not a scheduling decision).
+// Encode packs digests into the wire payload, in one exactly-sized
+// allocation. Entries beyond MaxWireDigests are dropped (callers gossip
+// small samples; the cap is a codec guarantee, not a scheduling decision).
 func Encode(ds []Digest) []byte {
 	if len(ds) > MaxWireDigests {
 		ds = ds[:MaxWireDigests]
 	}
-	buf := make([]byte, 0, 2+12*len(ds))
-	buf = append(buf, codecVersion)
+	// Gossip-sized payloads are built on the stack and copied out once;
+	// a larger one spills to the heap while it is built.
+	var stack [256]byte
+	buf := append(stack[:0], codecVersion)
 	buf = binary.AppendUvarint(buf, uint64(len(ds)))
 	for _, d := range ds {
 		buf = binary.AppendUvarint(buf, uint64(uint32(d.Node)))
@@ -112,85 +114,68 @@ func Encode(ds []Digest) []byte {
 		}
 		buf = binary.AppendUvarint(buf, uint64(load))
 	}
-	return buf
+	out := make([]byte, len(buf))
+	copy(out, buf)
+	return out
 }
 
 // Decode unpacks a digest payload, validating every field: unknown versions,
 // truncated entries, out-of-range enums, absurd sizes, and hostile counts
 // all fail cleanly. A nil or empty payload decodes to no digests.
 func Decode(b []byte) ([]Digest, error) {
+	return AppendDecode(nil, b)
+}
+
+// AppendDecode is Decode appending to dst, so a caller that folds each
+// payload straight into its cache can reuse one buffer. The whole payload
+// is validated before it returns; on error dst comes back unchanged.
+func AppendDecode(dst []Digest, b []byte) ([]Digest, error) {
 	if len(b) == 0 {
-		return nil, nil
+		return dst, nil
 	}
 	if b[0] != codecVersion {
-		return nil, fmt.Errorf("directory digest version %d, want %d", b[0], codecVersion)
+		return dst, fmt.Errorf("directory digest version %d, want %d", b[0], codecVersion)
 	}
 	b = b[1:]
 	count, n := binary.Uvarint(b)
 	if n <= 0 {
-		return nil, fmt.Errorf("directory digest count unreadable")
+		return dst, fmt.Errorf("directory digest count unreadable")
 	}
 	if count > MaxWireDigests {
-		return nil, fmt.Errorf("directory digest count %d exceeds cap %d", count, MaxWireDigests)
+		return dst, fmt.Errorf("directory digest count %d exceeds cap %d", count, MaxWireDigests)
 	}
-	b = b[n:]
-	uvarint := func() (uint64, error) {
-		v, n := binary.Uvarint(b)
-		if n <= 0 {
-			return 0, fmt.Errorf("truncated directory digest")
-		}
-		b = b[n:]
-		return v, nil
+	r := wireReader{b: b[n:]}
+	out := dst
+	if cap(out)-len(out) < int(count) {
+		out = make([]Digest, len(dst), len(dst)+int(count))
+		copy(out, dst)
 	}
-	out := make([]Digest, 0, count)
 	for i := uint64(0); i < count; i++ {
-		id, err := uvarint()
-		if err != nil {
-			return nil, err
+		id := r.uvarint()
+		if len(r.b) < 2 {
+			return dst, fmt.Errorf("truncated directory digest")
+		}
+		arch, osKind := resource.Architecture(r.b[0]), resource.OS(r.b[1])
+		r.b = r.b[2:]
+		mem, disk, fixed := r.uvarint(), r.uvarint(), r.uvarint()
+		inc, age, load := r.uvarint(), r.uvarint(), r.uvarint()
+		if r.short {
+			return dst, fmt.Errorf("truncated directory digest")
 		}
 		if id > 1<<31-1 {
-			return nil, fmt.Errorf("directory digest node id %d out of range", id)
-		}
-		if len(b) < 2 {
-			return nil, fmt.Errorf("truncated directory digest")
-		}
-		arch, osKind := resource.Architecture(b[0]), resource.OS(b[1])
-		b = b[2:]
-		mem, err := uvarint()
-		if err != nil {
-			return nil, err
-		}
-		disk, err := uvarint()
-		if err != nil {
-			return nil, err
-		}
-		fixed, err := uvarint()
-		if err != nil {
-			return nil, err
-		}
-		inc, err := uvarint()
-		if err != nil {
-			return nil, err
-		}
-		age, err := uvarint()
-		if err != nil {
-			return nil, err
-		}
-		load, err := uvarint()
-		if err != nil {
-			return nil, err
+			return dst, fmt.Errorf("directory digest node id %d out of range", id)
 		}
 		if fixed > perfScale-1 {
-			return nil, fmt.Errorf("directory digest perf %d out of range", fixed)
+			return dst, fmt.Errorf("directory digest perf %d out of range", fixed)
 		}
 		if mem == 0 || mem > maxSizeGB || disk == 0 || disk > maxSizeGB {
-			return nil, fmt.Errorf("directory digest sizes %d/%d GB out of range", mem, disk)
+			return dst, fmt.Errorf("directory digest sizes %d/%d GB out of range", mem, disk)
 		}
 		if age > maxAgeSec {
-			return nil, fmt.Errorf("directory digest age %d out of range", age)
+			return dst, fmt.Errorf("directory digest age %d out of range", age)
 		}
 		if load > maxLoad {
-			return nil, fmt.Errorf("directory digest load %d out of range", load)
+			return dst, fmt.Errorf("directory digest load %d out of range", load)
 		}
 		d := Digest{
 			Node: overlay.NodeID(id),
@@ -206,12 +191,33 @@ func Decode(b []byte) ([]Digest, error) {
 			Load:        int(load),
 		}
 		if err := d.Profile.Validate(); err != nil {
-			return nil, fmt.Errorf("directory digest: %w", err)
+			return dst, fmt.Errorf("directory digest: %w", err)
 		}
 		out = append(out, d)
 	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("directory digest payload has %d trailing bytes", len(b))
+	if len(r.b) != 0 {
+		return dst, fmt.Errorf("directory digest payload has %d trailing bytes", len(r.b))
 	}
 	return out, nil
+}
+
+// wireReader reads uvarints off a payload. A truncated or overlong field
+// reads as zero and sets short, which the caller checks once per digest.
+type wireReader struct {
+	b     []byte
+	short bool
+}
+
+func (r *wireReader) uvarint() uint64 {
+	if b := r.b; len(b) > 0 && b[0] < 0x80 { // the common one-byte field
+		r.b = b[1:]
+		return uint64(b[0])
+	}
+	v, n := binary.Uvarint(r.b)
+	if n <= 0 {
+		r.short, r.b = true, nil
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
 }

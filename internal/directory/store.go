@@ -1,7 +1,8 @@
 package directory
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"github.com/smartgrid/aria/internal/overlay"
@@ -22,10 +23,17 @@ const (
 // learned: now minus the digest's advertised age, so staleness survives
 // gossip hops.
 type entry struct {
+	node        overlay.NodeID
 	profile     resource.Profile
 	incarnation uint64
 	learnedAt   time.Duration
 	load        int
+
+	// queuedAt is the instant of the entry's one live expiry record. It
+	// never lies past the entry's true expiry (learnedAt + ttl): a
+	// refresh to a later learnedAt leaves the record where it is, and
+	// sweep re-arms it at the true expiry when it comes due.
+	queuedAt time.Duration
 
 	// costEWMA tracks the node's observed ACCEPT costs (exponentially
 	// weighted, costEWMAAlpha); costSamples counts observations. A node
@@ -36,6 +44,11 @@ type entry struct {
 	// digest) and dies with the entry on eviction.
 	costEWMA    float64
 	costSamples int
+}
+
+// digest renders the entry as a wire digest aged at now.
+func (e *entry) digest(now time.Duration) Digest {
+	return Digest{Node: e.node, Profile: e.profile, Incarnation: e.incarnation, Age: now - e.learnedAt, Load: e.load}
 }
 
 // Store is a bounded, staleness-aware cache of remote node profiles. It is
@@ -50,20 +63,30 @@ type Store struct {
 	capacity int
 	ttl      time.Duration
 
-	entries    map[overlay.NodeID]*entry
+	// entries is a slab of entry values; index maps a cached node to its
+	// slot and free lists vacated slots for reuse. Nothing in the slab,
+	// the index or the heap below is a pointer, so the collector has
+	// nothing to scan in a full cache.
+	entries    []entry
+	index      map[overlay.NodeID]int32
+	free       []int32
 	tombstones map[overlay.NodeID]uint64
 
-	// expiry is a lazy min-heap of (expiry instant, node) records, one
-	// pushed per Learn. sweep pops due records and re-checks the live
-	// entry — a refreshed entry simply outlives its stale heap records —
-	// so expiry is O(log n) amortized per Learn instead of a full-map
-	// scan per read, which dominated directed-discovery profiles at 10k
-	// entries.
+	// expiry is a min-heap of (expiry instant, node) records holding one
+	// live record per entry: the one at the entry's queuedAt. Learn
+	// pushes a record only for a new entry or when a refresh moves the
+	// expiry earlier (a higher incarnation carrying older knowledge). The
+	// records of removed entries, and a record such a refresh supersedes,
+	// stay behind as dead records that sweep discards when they come due.
 	expiry expiryHeap
 
-	// sorted caches the node IDs ascending, maintained incrementally, so
-	// Gossip and Snapshot stop re-sorting the whole cache per call.
-	sorted []overlay.NodeID
+	// sorted holds the live slots in ascending node order, maintained
+	// incrementally, so Gossip, Snapshot and the ranked reads walk the
+	// cache in a fixed order without sorting or map lookups.
+	sorted []int32
+
+	// top is the ranked reads' selection scratch, reused across calls.
+	top []ranked
 
 	// gossipCursor rotates Gossip samples through the whole cache so
 	// repeated probes spread different entries.
@@ -74,7 +97,7 @@ type Store struct {
 	OnEvict func(node overlay.NodeID, reason string)
 }
 
-// expiryRecord marks one Learn's expiry instant for a node.
+// expiryRecord marks when a node's entry is next due for an expiry check.
 type expiryRecord struct {
 	at   time.Duration
 	node overlay.NodeID
@@ -136,14 +159,14 @@ func New(capacity int, ttl time.Duration) *Store {
 	return &Store{
 		capacity:   capacity,
 		ttl:        ttl,
-		entries:    make(map[overlay.NodeID]*entry),
+		index:      make(map[overlay.NodeID]int32),
 		tombstones: make(map[overlay.NodeID]uint64),
 	}
 }
 
 // Len reports the number of cached entries (stale ones included until the
 // next sweep).
-func (s *Store) Len() int { return len(s.entries) }
+func (s *Store) Len() int { return len(s.index) }
 
 // Learn folds one digest into the cache, reporting whether it was admitted.
 // Rejections: stale on arrival, tombstoned at or below the digest's
@@ -163,51 +186,57 @@ func (s *Store) Learn(d Digest, now time.Duration) bool {
 	if ts, dead := s.tombstones[d.Node]; dead && d.Incarnation <= ts {
 		return false
 	}
-	if cur, ok := s.entries[d.Node]; ok {
+	if slot, ok := s.index[d.Node]; ok {
+		e := &s.entries[slot]
 		// Same node: a higher incarnation always wins (it is a newer
 		// instance); within an incarnation, fresher knowledge wins.
-		if d.Incarnation < cur.incarnation ||
-			(d.Incarnation == cur.incarnation && learnedAt <= cur.learnedAt) {
+		if d.Incarnation < e.incarnation ||
+			(d.Incarnation == e.incarnation && learnedAt <= e.learnedAt) {
 			return false
 		}
-		cur.profile, cur.incarnation, cur.learnedAt, cur.load = d.Profile, d.Incarnation, learnedAt, d.Load
-		s.pushExpiry(d.Node, learnedAt)
+		e.profile, e.incarnation, e.learnedAt, e.load = d.Profile, d.Incarnation, learnedAt, d.Load
+		if learnedAt+s.ttl < e.queuedAt {
+			s.arm(e) // older knowledge from a newer instance: expiry moved earlier
+		}
 		return true
 	}
-	if len(s.entries) >= s.capacity {
+	if len(s.index) >= s.capacity {
 		victim, ok := s.stalest()
 		if !ok || s.entries[victim].learnedAt >= learnedAt {
 			return false // the newcomer is the stalest of them all
 		}
 		s.remove(victim, EvictCapacity)
 	}
-	s.entries[d.Node] = &entry{profile: d.Profile, incarnation: d.Incarnation, learnedAt: learnedAt, load: d.Load}
-	s.sorted = insertID(s.sorted, d.Node)
-	s.pushExpiry(d.Node, learnedAt)
+	e := entry{node: d.Node, profile: d.Profile, incarnation: d.Incarnation, learnedAt: learnedAt, load: d.Load}
+	var slot int32
+	if n := len(s.free); n > 0 {
+		slot, s.free = s.free[n-1], s.free[:n-1]
+		s.entries[slot] = e
+	} else {
+		slot = int32(len(s.entries))
+		s.entries = append(s.entries, e)
+	}
+	s.index[d.Node] = slot
+	i, _ := s.position(d.Node)
+	s.sorted = slices.Insert(s.sorted, i, slot)
+	s.arm(&s.entries[slot])
 	return true
 }
 
-// pushExpiry records when an entry learned at learnedAt goes stale.
-func (s *Store) pushExpiry(node overlay.NodeID, learnedAt time.Duration) {
+// arm queues the entry's expiry record at its true expiry instant.
+func (s *Store) arm(e *entry) {
 	if s.ttl > 0 {
-		s.expiry.push(expiryRecord{at: learnedAt + s.ttl, node: node})
+		e.queuedAt = e.learnedAt + s.ttl
+		s.expiry.push(expiryRecord{at: e.queuedAt, node: e.node})
 	}
 }
 
-func insertID(s []overlay.NodeID, v overlay.NodeID) []overlay.NodeID {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
-}
-
-func removeID(s []overlay.NodeID, v overlay.NodeID) []overlay.NodeID {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	if i < len(s) && s[i] == v {
-		return append(s[:i], s[i+1:]...)
-	}
-	return s
+// position binary-searches sorted for node, reporting its index (or the
+// index it would be inserted at) and whether it is present.
+func (s *Store) position(node overlay.NodeID) (int, bool) {
+	return slices.BinarySearchFunc(s.sorted, node, func(slot int32, node overlay.NodeID) int {
+		return cmp.Compare(s.entries[slot].node, node)
+	})
 }
 
 // BumpLoad optimistically adjusts a cached entry's load hint by delta —
@@ -215,7 +244,8 @@ func removeID(s []overlay.NodeID, v overlay.NodeID) []overlay.NodeID {
 // before any gossip can say so. No-op when the node is not cached; the next
 // learned digest overwrites the adjustment with observed truth.
 func (s *Store) BumpLoad(node overlay.NodeID, delta int) {
-	if e, ok := s.entries[node]; ok {
+	if slot, ok := s.index[node]; ok {
+		e := &s.entries[slot]
 		e.load += delta
 		if e.load < 0 {
 			e.load = 0
@@ -240,10 +270,11 @@ func (s *Store) ObserveCost(node overlay.NodeID, cost float64) {
 	if cost < 0 {
 		return
 	}
-	e, ok := s.entries[node]
+	slot, ok := s.index[node]
 	if !ok {
 		return
 	}
+	e := &s.entries[slot]
 	if e.costSamples == 0 {
 		e.costEWMA = cost
 	} else {
@@ -252,23 +283,30 @@ func (s *Store) ObserveCost(node overlay.NodeID, cost float64) {
 	e.costSamples++
 }
 
-// stalest returns the entry with the oldest learnedAt (largest node ID
-// breaking ties, so eviction order is deterministic).
-func (s *Store) stalest() (overlay.NodeID, bool) {
-	var victim overlay.NodeID
-	found := false
-	for id, e := range s.entries {
-		if !found || e.learnedAt < s.entries[victim].learnedAt ||
-			(e.learnedAt == s.entries[victim].learnedAt && id > victim) {
-			victim, found = id, true
+// stalest returns the slot of the entry with the oldest learnedAt (largest
+// node ID breaking ties, so eviction order is deterministic).
+func (s *Store) stalest() (int32, bool) {
+	if len(s.sorted) == 0 {
+		return 0, false
+	}
+	victim := s.sorted[0]
+	for _, slot := range s.sorted[1:] {
+		// Ascending node order: <= hands a tie to the larger node.
+		if s.entries[slot].learnedAt <= s.entries[victim].learnedAt {
+			victim = slot
 		}
 	}
-	return victim, found
+	return victim, true
 }
 
-func (s *Store) remove(node overlay.NodeID, reason string) {
-	delete(s.entries, node)
-	s.sorted = removeID(s.sorted, node)
+func (s *Store) remove(slot int32, reason string) {
+	node := s.entries[slot].node
+	if i, ok := s.position(node); ok {
+		s.sorted = slices.Delete(s.sorted, i, i+1)
+	}
+	delete(s.index, node)
+	s.entries[slot] = entry{}
+	s.free = append(s.free, slot)
 	if s.OnEvict != nil {
 		s.OnEvict(node, reason)
 	}
@@ -277,8 +315,8 @@ func (s *Store) remove(node overlay.NodeID, reason string) {
 // Evict drops the entry for node (if cached) without a tombstone: the node
 // may be alive, and fresh evidence re-admits it immediately.
 func (s *Store) Evict(node overlay.NodeID, reason string) {
-	if _, ok := s.entries[node]; ok {
-		s.remove(node, reason)
+	if slot, ok := s.index[node]; ok {
+		s.remove(slot, reason)
 	}
 }
 
@@ -287,8 +325,8 @@ func (s *Store) Evict(node overlay.NodeID, reason string) {
 // Used for terminal dead verdicts.
 func (s *Store) Invalidate(node overlay.NodeID) {
 	inc := s.tombstones[node]
-	if cur, ok := s.entries[node]; ok && cur.incarnation > inc {
-		inc = cur.incarnation
+	if slot, ok := s.index[node]; ok && s.entries[slot].incarnation > inc {
+		inc = s.entries[slot].incarnation
 	}
 	s.tombstones[node] = inc
 	s.Evict(node, EvictDead)
@@ -296,26 +334,103 @@ func (s *Store) Invalidate(node overlay.NodeID) {
 
 // sweep lazily expires entries past the staleness TTL. The store has no
 // timers of its own — determinism under the simulator comes from doing all
-// expiry on the caller's clock at read time. Due heap records whose entry
-// was refreshed or removed since they were pushed are discarded; a live
-// stale entry is evicted. Expiry order is (expiry instant, node id), which
-// is deterministic for a given cache history.
+// expiry on the caller's clock at read time. It pops every due record: a
+// dead one (its entry is gone, or has queued another record since) is
+// discarded, and a live one whose entry was refreshed since is re-armed at
+// the entry's true expiry.
+// An entry is evicted only when the record at its true expiry comes due,
+// so one sweep evicts exactly the entries aged past the TTL, in (expiry
+// instant, node) order.
 func (s *Store) sweep(now time.Duration) {
 	if s.ttl <= 0 {
 		return
 	}
 	for len(s.expiry) > 0 && s.expiry[0].at <= now {
 		r := s.expiry.pop()
-		e, ok := s.entries[r.node]
+		slot, ok := s.index[r.node]
 		if !ok {
 			continue
 		}
-		if now-e.learnedAt >= s.ttl {
-			s.remove(r.node, EvictStale)
+		e := &s.entries[slot]
+		if r.at != e.queuedAt {
+			continue
 		}
-		// Otherwise the entry was refreshed; its newer record is still
-		// in the heap.
+		if e.learnedAt+s.ttl > r.at {
+			s.arm(e)
+			continue
+		}
+		s.remove(slot, EvictStale)
 	}
+}
+
+// ranked is one selected entry and its Candidates score.
+type ranked struct {
+	score float64
+	slot  int32
+}
+
+// score is the entry's Candidates ranking key: a time-to-completion proxy,
+// (load+1)/perf, scaled by the entry's cost EWMA over ewmaMean (clamped to
+// [1/costPenaltyMax, costPenaltyMax]) when it has cost history.
+func (e *entry) score(ewmaMean float64) float64 {
+	base := float64(e.load+1) / e.profile.PerfIndex
+	if e.costSamples == 0 || e.costEWMA <= 0 || ewmaMean <= 0 {
+		return base
+	}
+	factor := e.costEWMA / ewmaMean
+	if factor > costPenaltyMax {
+		factor = costPenaltyMax
+	} else if factor < 1/costPenaltyMax {
+		factor = 1 / costPenaltyMax
+	}
+	return base * factor
+}
+
+// rank sweeps the cache, then selects into the top scratch the best k
+// entries that match req and that keep (when non-nil) accepts, best first
+// by (score, node). The cost EWMA mean is taken over every matching entry,
+// kept or not, summed in node order. Selection is one bounded insertion
+// pass, O(n·k) worst case and O(n) for the k = 1 picks.
+func (s *Store) rank(req resource.Requirements, k int, now time.Duration, keep func(node overlay.NodeID, load int) bool) []ranked {
+	s.sweep(now)
+	s.top = s.top[:0]
+	if k <= 0 {
+		return s.top
+	}
+	var ewmaSum float64
+	var ewmaN int
+	for _, slot := range s.sorted {
+		e := &s.entries[slot]
+		if e.profile.Satisfies(req) && e.costSamples > 0 && e.costEWMA > 0 {
+			ewmaSum += e.costEWMA
+			ewmaN++
+		}
+	}
+	var ewmaMean float64
+	if ewmaN > 0 {
+		ewmaMean = ewmaSum / float64(ewmaN)
+	}
+	for _, slot := range s.sorted {
+		e := &s.entries[slot]
+		if !e.profile.Satisfies(req) || (keep != nil && !keep(e.node, e.load)) {
+			continue
+		}
+		c := ranked{score: e.score(ewmaMean), slot: slot}
+		// Entries arrive in ascending node order, so a newcomer goes
+		// behind every equal score: strict < is the (score, node) order.
+		if len(s.top) == k && !(c.score < s.top[k-1].score) {
+			continue
+		}
+		if len(s.top) < k {
+			s.top = append(s.top, c)
+		}
+		i := len(s.top) - 1
+		for ; i > 0 && c.score < s.top[i-1].score; i-- {
+			s.top[i] = s.top[i-1]
+		}
+		s.top[i] = c
+	}
+	return s.top
 }
 
 // Candidates returns up to limit cached nodes whose profile satisfies req,
@@ -330,51 +445,27 @@ func (s *Store) sweep(now time.Duration) {
 // ID breaks ties, so candidate order is deterministic for a given cache
 // state.
 func (s *Store) Candidates(req resource.Requirements, limit int, now time.Duration) []Digest {
-	s.sweep(now)
-	if limit <= 0 {
+	top := s.rank(req, limit, now, nil)
+	if len(top) == 0 {
 		return nil
 	}
-	var out []Digest
-	var ewmaSum float64
-	var ewmaN int
-	for id, e := range s.entries {
-		if e.profile.Satisfies(req) {
-			out = append(out, Digest{Node: id, Profile: e.profile, Incarnation: e.incarnation, Age: now - e.learnedAt, Load: e.load})
-			if e.costSamples > 0 && e.costEWMA > 0 {
-				ewmaSum += e.costEWMA
-				ewmaN++
-			}
-		}
+	return s.appendRanked(make([]Digest, 0, len(top)), top, now)
+}
+
+// AppendBest appends to dst the first k entries of the Candidates order
+// among those keep accepts (nil keeps every entry), without materializing
+// the rest. keep sees each matching entry's node and load hint and must not
+// call back into the store; the cost penalty is still relative to the whole
+// matching set.
+func (s *Store) AppendBest(dst []Digest, req resource.Requirements, k int, now time.Duration, keep func(node overlay.NodeID, load int) bool) []Digest {
+	return s.appendRanked(dst, s.rank(req, k, now, keep), now)
+}
+
+func (s *Store) appendRanked(dst []Digest, top []ranked, now time.Duration) []Digest {
+	for _, r := range top {
+		dst = append(dst, s.entries[r.slot].digest(now))
 	}
-	var ewmaMean float64
-	if ewmaN > 0 {
-		ewmaMean = ewmaSum / float64(ewmaN)
-	}
-	score := func(d Digest) float64 {
-		base := float64(d.Load+1) / d.Profile.PerfIndex
-		e := s.entries[d.Node]
-		if e == nil || e.costSamples == 0 || e.costEWMA <= 0 || ewmaMean <= 0 {
-			return base
-		}
-		factor := e.costEWMA / ewmaMean
-		if factor > costPenaltyMax {
-			factor = costPenaltyMax
-		} else if factor < 1/costPenaltyMax {
-			factor = 1 / costPenaltyMax
-		}
-		return base * factor
-	}
-	sort.Slice(out, func(i, k int) bool {
-		si, sk := score(out[i]), score(out[k])
-		if si != sk {
-			return si < sk
-		}
-		return out[i].Node < out[k].Node
-	})
-	if len(out) > limit {
-		out = out[:limit]
-	}
-	return out
+	return dst
 }
 
 // Gossip returns up to k cached digests for piggybacking on a PING or PONG,
@@ -382,31 +473,34 @@ func (s *Store) Candidates(req resource.Requirements, limit int, now time.Durati
 // different entries.
 func (s *Store) Gossip(k int, now time.Duration) []Digest {
 	s.sweep(now)
-	if k <= 0 || len(s.entries) == 0 {
+	if k <= 0 || len(s.sorted) == 0 {
 		return nil
 	}
-	ids := s.sorted
-	if k > len(ids) {
-		k = len(ids)
+	return s.AppendGossip(make([]Digest, 0, min(k, len(s.sorted))), k, now)
+}
+
+// AppendGossip appends the samples Gossip would return to dst, so a
+// caller that encodes them straight away can reuse one buffer.
+func (s *Store) AppendGossip(dst []Digest, k int, now time.Duration) []Digest {
+	s.sweep(now)
+	if k <= 0 || len(s.sorted) == 0 {
+		return dst
 	}
-	out := make([]Digest, 0, k)
+	k = min(k, len(s.sorted))
 	for i := 0; i < k; i++ {
-		id := ids[(s.gossipCursor+i)%len(ids)]
-		e := s.entries[id]
-		out = append(out, Digest{Node: id, Profile: e.profile, Incarnation: e.incarnation, Age: now - e.learnedAt, Load: e.load})
+		dst = append(dst, s.entries[s.sorted[(s.gossipCursor+i)%len(s.sorted)]].digest(now))
 	}
-	s.gossipCursor = (s.gossipCursor + k) % len(ids)
-	return out
+	s.gossipCursor = (s.gossipCursor + k) % len(s.sorted)
+	return dst
 }
 
 // Snapshot returns every cached digest in node-ID order, ages measured at
 // now — the operator-debugging dump behind `ariactl -directory`.
 func (s *Store) Snapshot(now time.Duration) []Digest {
 	s.sweep(now)
-	out := make([]Digest, 0, len(s.entries))
-	for _, id := range s.sorted {
-		e := s.entries[id]
-		out = append(out, Digest{Node: id, Profile: e.profile, Incarnation: e.incarnation, Age: now - e.learnedAt, Load: e.load})
+	out := make([]Digest, 0, len(s.sorted))
+	for _, slot := range s.sorted {
+		out = append(out, s.entries[slot].digest(now))
 	}
 	return out
 }

@@ -254,12 +254,12 @@ func TestStallHoldsInboundUntilWindowEnd(t *testing.T) {
 		extra    time.Duration
 	}
 	probes := []probe{
-		{30 * time.Minute, 5, 4, 0},                 // before the window
-		{time.Hour, 5, 4, time.Hour},                // held until window end
-		{90 * time.Minute, 5, 4, 30 * time.Minute},  // later send held less
-		{100 * time.Minute, 4, 5, 0},                // stalled node's own sends flow
-		{90 * time.Minute, 5, 6, 0},                 // unrelated link
-		{2 * time.Hour, 5, 4, 0},                    // window end is exclusive
+		{30 * time.Minute, 5, 4, 0},                // before the window
+		{time.Hour, 5, 4, time.Hour},               // held until window end
+		{90 * time.Minute, 5, 4, 30 * time.Minute}, // later send held less
+		{100 * time.Minute, 4, 5, 0},               // stalled node's own sends flow
+		{90 * time.Minute, 5, 6, 0},                // unrelated link
+		{2 * time.Hour, 5, 4, 0},                   // window end is exclusive
 	}
 	for _, p := range probes {
 		out := lm.Plan(p.at, p.from, p.to)

@@ -38,6 +38,7 @@ func TestShardedScenarioDeterminism(t *testing.T) {
 		{"iMixed-sites10", "2c89827aa9c6a2dc9daa64327f5e09c66de9e220ef1fa58964f415d965665f44"}, // site latency model
 		{"iLossy", "5cc80f0af92285d9687d4fa70534b1b2eead580fb097e0197fa1a38a83734fcd"},         // keyed drop/duplication/jitter draws
 		{"iDirected", "4315d5a6705e3f7c5273e5621c0ea9bf360f989b4a232c8d760207b69d4b6098"},      // directory gossip + directed probes
+		{"iSharedState", "ecc4e44506c8f132907b62291c49a89daa4f2352e4da71ab479c03c914c4f99d"},   // optimistic commits against the gossip-fed view
 	}
 	for _, p := range pinned {
 		p := p

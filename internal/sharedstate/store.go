@@ -67,22 +67,23 @@ func (s *Store) Bound() int { return s.bound }
 
 // Pick returns the best cached provider for req believed to have a free
 // slot: profile satisfies the requirements, and cached load plus this
-// node's own in-flight commits stays below the bound. Candidates arrive
-// from the view ranked by the directory's time-to-completion proxy
-// (load-, perf-, and observed-cost-aware), so the head of the list is the
-// commit target. Nodes for which excluded reports true (dead, suspect,
-// already conflicted this round, the initiator itself) are skipped.
+// node's own in-flight commits stays below the bound. The view ranks by the
+// directory's time-to-completion proxy (load-, perf-, and observed-cost-
+// aware) and Pick takes the best usable entry in one filtered pass. Nodes
+// for which excluded reports true (dead, suspect, already conflicted this
+// round, the initiator itself) are skipped.
 func (s *Store) Pick(req resource.Requirements, now time.Duration, excluded func(overlay.NodeID) bool) (directory.Digest, bool) {
-	for _, d := range s.cache.Candidates(req, s.cache.Len(), now) {
-		if excluded != nil && excluded(d.Node) {
-			continue
+	var best [1]directory.Digest
+	got := s.cache.AppendBest(best[:0], req, 1, now, func(node overlay.NodeID, load int) bool {
+		if excluded != nil && excluded(node) {
+			return false
 		}
-		if d.Load+s.inflight[d.Node] >= s.bound {
-			continue
-		}
-		return d, true
+		return load+s.inflight[node] < s.bound
+	})
+	if len(got) == 0 {
+		return directory.Digest{}, false
 	}
-	return directory.Digest{}, false
+	return got[0], true
 }
 
 // CommitStarted reserves one believed slot at node while a commit is in

@@ -298,7 +298,7 @@ func TestCheckMembershipInvariants(t *testing.T) {
 				return append(evs, core.TraceEvent{
 					At: at(40), Node: 1, Kind: core.SpanFloodOrigin, UUID: testUUID, Span: 0x111,
 					Parent: 0x101, Msg: core.MsgRequest, Hop: 0,
-					TTL: cfg.RequestTTL + 2*cfg.ReFloodTTLStep + 1,
+					TTL:    cfg.RequestTTL + 2*cfg.ReFloodTTLStep + 1,
 					Fanout: 2, Seq: 3, Origin: 1, Attempt: 2,
 				})
 			},

@@ -42,9 +42,9 @@ type InprocCluster struct {
 // latency model; nil latency means immediate delivery.
 func NewInprocCluster(seed int64, latency overlay.LatencyModel) *InprocCluster {
 	return &InprocCluster{
-		start:   time.Now(),
-		latency: latency,
-		graph:   overlay.NewGraph(),
+		start:    time.Now(),
+		latency:  latency,
+		graph:    overlay.NewGraph(),
 		nodes:    make(map[overlay.NodeID]*core.Node),
 		seed:     seed,
 		specs:    make(map[overlay.NodeID]nodeSpec),

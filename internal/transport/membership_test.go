@@ -119,8 +119,8 @@ func TestMembershipNoFalseDeadUnderJitter(t *testing.T) {
 // ProbeTimeout + SuspectTimeout <= ProbeInterval).
 func TestMembershipDetectionBound(t *testing.T) {
 	tests := []struct {
-		name                     string
-		probe, timeout, suspect  time.Duration
+		name                    string
+		probe, timeout, suspect time.Duration
 	}{
 		{"defaults", core.DefaultProbeInterval, core.DefaultProbeTimeout, core.DefaultSuspectTimeout},
 		{"fast", time.Second, 300 * time.Millisecond, 600 * time.Millisecond},
