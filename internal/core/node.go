@@ -1681,7 +1681,10 @@ func (n *Node) completeRunning() {
 	if n.cfg.NotifyInitiator && initiator != n.id {
 		// Same discipline for the completion notify: once the event is
 		// observable, a crash must still resend the NOTIFY until acked, or
-		// the initiator's watchdog would rerun an already-reported job.
+		// the initiator's watchdog would rerun an already-reported job. The
+		// entry opens before its record, so a compaction the append
+		// triggers snapshots it.
+		n.notifyOut[j.UUID] = &pendingNotify{profile: j.Profile, initiator: initiator, span: cspan}
 		n.jlog(wal.Record{Type: wal.RecNotifySent, UUID: j.UUID, Profile: &j.Profile, Peer: initiator, Span: cspan})
 	}
 	n.obs.JobCompleted(now, n.id, j)
@@ -1699,8 +1702,7 @@ func (n *Node) completeRunning() {
 				n.jlog(wal.Record{Type: wal.RecTrackDone, UUID: j.UUID})
 			}
 		} else {
-			pn := &pendingNotify{profile: j.Profile, initiator: initiator, span: cspan}
-			n.notifyOut[j.UUID] = pn
+			pn := n.notifyOut[j.UUID]
 			n.env.Send(initiator, Message{
 				Type: MsgNotify, From: n.id, Job: j.Profile, Notify: NotifyCompleted, Span: cspan,
 			})

@@ -322,6 +322,10 @@ func (n *Node) snapshotState() *wal.State {
 		s.OutAssigns = append(s.OutAssigns, wal.OutAssign{Profile: oa.profile, To: oa.to, Initiator: oa.initiator, Reschedule: oa.reschedule, Attempts: oa.attempts, Span: oa.span})
 	}
 	sort.Slice(s.OutAssigns, func(i, k int) bool { return s.OutAssigns[i].Profile.UUID < s.OutAssigns[k].Profile.UUID })
+	for _, pn := range n.notifyOut {
+		s.PendingNotify = append(s.PendingNotify, wal.PendingNotify{Profile: pn.profile, Initiator: pn.initiator, Span: pn.span})
+	}
+	sort.Slice(s.PendingNotify, func(i, k int) bool { return s.PendingNotify[i].Profile.UUID < s.PendingNotify[k].Profile.UUID })
 	if n.running != nil {
 		s.Running = &wal.RunningJob{Profile: n.running.Profile, Initiator: n.runningInitiator, Span: n.runningSpan}
 	}
