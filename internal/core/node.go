@@ -401,13 +401,19 @@ func (n *Node) Kill() {
 			t.watchdog()
 		}
 	}
-	for _, oa := range n.outAssigns {
+	oaUUIDs := make([]job.UUID, 0, len(n.outAssigns))
+	for uuid := range n.outAssigns {
+		oaUUIDs = append(oaUUIDs, uuid)
+	}
+	sort.Slice(oaUUIDs, func(i, k int) bool { return oaUUIDs[i] < oaUUIDs[k] })
+	for _, uuid := range oaUUIDs {
+		oa := n.outAssigns[uuid]
 		if oa.timer != nil {
 			oa.timer()
 		}
 		// The crash abandons the handshake: without this event the
 		// assignment span would dangle with no observable consequence.
-		n.emitSpan(TraceEvent{Kind: SpanLost, UUID: oa.profile.UUID, Parent: oa.span, Peer: oa.to})
+		n.emitSpan(TraceEvent{Kind: SpanLost, UUID: uuid, Parent: oa.span, Peer: oa.to})
 	}
 	n.cancelMembershipTimers()
 	if n.running != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -119,5 +120,51 @@ func checkpointKeepsPendingCompletionNotify(t *testing.T, snapshotEvery int) {
 	}
 	if got := net.requestsFrom(1); got != 1 {
 		t.Fatalf("initiator resubmitted the completed job: %d floods", got)
+	}
+}
+
+// spanLog records the trace events a node emits.
+type spanLog struct {
+	NopObserver
+	spans []TraceEvent
+}
+
+func (l *spanLog) TraceSpan(ev TraceEvent) { l.spans = append(l.spans, ev) }
+
+// TestKillLosesOpenAssignsInOrder pins the crash's SpanLost order for open
+// ASSIGN handshakes: a node that dies with several unacked ASSIGNs must
+// abandon them in one order, run after run, or the simulator's trace (and
+// every digest over it) depends on map iteration.
+func TestKillLosesOpenAssignsInOrder(t *testing.T) {
+	var want []uint64
+	for run := 0; run < 30; run++ {
+		log := &spanLog{}
+		n, err := NewNode(1, smallProfile(), sched.FCFS, &fakeEnv{rng: rand.New(rand.NewSource(1))}, ackConfig(), log, job.DefaultARTModel())
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.mu.Lock()
+		for i := 0; i < 6; i++ {
+			p := bigJob(job.UUID(fmt.Sprintf("%032x", i+1)))
+			n.sendAssign(overlay.NodeID(10+i), p, n.id, false, n.emitSpan(TraceEvent{Kind: SpanAssign, UUID: p.UUID}))
+		}
+		n.mu.Unlock()
+		n.Kill()
+		var got []uint64
+		for _, ev := range log.spans {
+			if ev.Kind == SpanLost {
+				got = append(got, ev.Parent)
+			}
+		}
+		if len(got) != 6 {
+			t.Fatalf("run %d: %d lost spans, want 6", run, len(got))
+		}
+		if want == nil {
+			want = got
+			continue
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("run %d lost the handshakes in order %v, run 0 in %v", run, got, want)
+		}
 	}
 }
