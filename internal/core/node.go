@@ -67,22 +67,10 @@ type Node struct {
 	// needed to stamp ASSIGN messages during rescheduling.
 	initiators map[job.UUID]overlay.NodeID
 
-	// Sender-side ASSIGN/ACK handshake state (AssignAck extension): one
-	// entry per networked ASSIGN awaiting acknowledgement.
-	outAssigns map[job.UUID]*outAssign
-
-	// Assignee-side completion NOTIFYs awaiting the initiator's ack
-	// (NotifyInitiator extension): resent with backoff, journaled so
-	// recovery resends them across a crash.
-	notifyOut map[job.UUID]*pendingNotify
-
-	// Assignee-side recovered copies fenced behind the initiator's
-	// re-confirmation (NotifyInitiator extension): a crash-recovered
-	// in-flight job must not re-execute until the initiator confirms it
-	// still wants this copy — its watchdog may have resubmitted the job
-	// elsewhere during the outage, and blindly re-running would race the
-	// replacement to a duplicate execution.
-	held map[job.UUID]*heldJob
+	// Ack-gated resends (see outbox.go): ASSIGNs awaiting their ack,
+	// completion NOTIFYs awaiting the initiator's, and crash-recovered
+	// copies fenced until the initiator re-confirms them.
+	outbox map[resendKey]*resend
 
 	// Flood duplicate suppression, generational: lookups consult both
 	// generations, inserts go to the current one, and every seenTTL the
@@ -163,54 +151,6 @@ type offer struct {
 	cost sched.Cost
 }
 
-// outAssign tracks one unacknowledged ASSIGN (AssignAck extension).
-type outAssign struct {
-	profile job.Profile
-	to      overlay.NodeID
-	// span is the assignment span retries and the fallback parent to.
-	span uint64
-	// initiator is the address stamped as the ASSIGN's From: this node
-	// for a first assignment, the original initiator for a rescheduling
-	// handoff.
-	initiator overlay.NodeID
-	// reschedule marks a rescheduling handoff; its fallback re-enqueues
-	// the job locally instead of re-flooding a REQUEST.
-	reschedule bool
-	attempts   int
-	timer      Cancel
-}
-
-// pendingNotify tracks one completion NOTIFY awaiting the initiator's ack
-// (NotifyInitiator extension). Unlike outAssign there is no retry cap and
-// no fallback: the entry is journaled and resent until the initiator acks
-// (an amnesiac restart acks unknown jobs too) or is confirmed dead —
-// giving up any earlier would leave the initiator's watchdog to rerun a
-// job whose completion was already observable.
-type pendingNotify struct {
-	profile   job.Profile
-	initiator overlay.NodeID
-	span      uint64
-	attempts  int
-	timer     Cancel
-}
-
-// heldJob is a crash-recovered copy of a delegated job fenced behind the
-// initiator's re-confirmation. The resurfaced query is resent with backoff
-// until the initiator answers: CONFIRM releases the copy into the queue,
-// CANCEL (or a retransmitted ASSIGN, an implicit confirm) resolves it the
-// other way. A confirmed-dead initiator releases the copy too — a dead
-// watchdog cannot have resubmitted, so running is duplicate-safe, while
-// holding forever would lose the job outright.
-type heldJob struct {
-	profile   job.Profile
-	initiator overlay.NodeID
-	// span is the recovery span the copy resurfaced under; the eventual
-	// start (or cancel) parents to it.
-	span     uint64
-	attempts int
-	timer    Cancel
-}
-
 // watchdogMaxDefers bounds how many times a firing watchdog stands down
 // because the failure detector still vouches for the assignee. The bound
 // keeps the failsafe live under a permanently asymmetric link (assignee
@@ -285,9 +225,7 @@ func NewNode(
 		tracked:    make(map[job.UUID]*trackedJob),
 		multi:      make(map[job.UUID][]overlay.NodeID),
 		initiators: make(map[job.UUID]overlay.NodeID),
-		outAssigns: make(map[job.UUID]*outAssign),
-		notifyOut:  make(map[job.UUID]*pendingNotify),
-		held:       make(map[job.UUID]*heldJob),
+		outbox:     make(map[resendKey]*resend),
 		enqSpans:   make(map[job.UUID]uint64),
 	}
 	if cfg.Membership() {
@@ -401,19 +339,20 @@ func (n *Node) Kill() {
 			t.watchdog()
 		}
 	}
-	oaUUIDs := make([]job.UUID, 0, len(n.outAssigns))
-	for uuid := range n.outAssigns {
-		oaUUIDs = append(oaUUIDs, uuid)
-	}
-	sort.Slice(oaUUIDs, func(i, k int) bool { return oaUUIDs[i] < oaUUIDs[k] })
-	for _, uuid := range oaUUIDs {
-		oa := n.outAssigns[uuid]
-		if oa.timer != nil {
-			oa.timer()
+	for _, r := range n.sortedResends() {
+		if r.timer != nil {
+			r.timer()
 		}
-		// The crash abandons the handshake: without this event the
-		// assignment span would dangle with no observable consequence.
-		n.emitSpan(TraceEvent{Kind: SpanLost, UUID: uuid, Parent: oa.span, Peer: oa.to})
+		// The crash abandons open handshakes and fenced copies: without
+		// these events their spans would dangle with no observable
+		// consequence. An unacked completion NOTIFY loses nothing — the
+		// job completed — and the journal resends it on recovery.
+		switch r.kind {
+		case resendAssign:
+			n.emitSpan(TraceEvent{Kind: SpanLost, UUID: r.profile.UUID, Parent: r.span, Peer: r.peer})
+		case resendFenced:
+			n.emitSpan(TraceEvent{Kind: SpanLost, UUID: r.profile.UUID, Parent: r.span})
+		}
 	}
 	n.cancelMembershipTimers()
 	if n.running != nil {
@@ -421,26 +360,12 @@ func (n *Node) Kill() {
 	}
 	n.running = nil
 	n.runningSpan = 0
-	heldUUIDs := make([]job.UUID, 0, len(n.held))
-	for uuid := range n.held {
-		heldUUIDs = append(heldUUIDs, uuid)
-	}
-	sort.Slice(heldUUIDs, func(i, k int) bool { return heldUUIDs[i] < heldUUIDs[k] })
-	for _, uuid := range heldUUIDs {
-		h := n.held[uuid]
-		if h.timer != nil {
-			h.timer()
-		}
-		n.emitSpan(TraceEvent{Kind: SpanLost, UUID: uuid, Parent: h.span})
-	}
 	n.pending = make(map[job.UUID]*pendingJob)
 	if n.commits != nil {
 		n.commits = make(map[job.UUID]*pendingCommit)
 	}
 	n.tracked = make(map[job.UUID]*trackedJob)
-	n.outAssigns = make(map[job.UUID]*outAssign)
-	n.notifyOut = make(map[job.UUID]*pendingNotify)
-	n.held = make(map[job.UUID]*heldJob)
+	n.outbox = make(map[resendKey]*resend)
 	// A crash loses the local queue; the initiators' failsafe watchdogs
 	// (when armed) are what recovers these jobs.
 	for _, j := range n.queue.Jobs() {
@@ -697,10 +622,8 @@ func (n *Node) decide(uuid job.UUID) {
 }
 
 // sendAssign dispatches an ASSIGN to a remote node and, when the AssignAck
-// handshake is enabled, tracks it for retransmission until acknowledged.
-// The Via field carries the actual sender so the assignee can address the
-// acknowledgement (From is the initiator, which differs from the sender on
-// a rescheduling handoff). Caller holds the lock.
+// handshake is enabled, keeps resending it until acknowledged. Caller holds
+// the lock.
 func (n *Node) sendAssign(to overlay.NodeID, p job.Profile, initiator overlay.NodeID, reschedule bool, span uint64) {
 	if n.dir != nil {
 		// Optimistically bump the assignee's cached load hint: its queue
@@ -708,54 +631,11 @@ func (n *Node) sendAssign(to overlay.NodeID, p job.Profile, initiator overlay.No
 		// directed round at the same node.
 		n.dir.BumpLoad(to, 1)
 	}
-	n.env.Send(to, Message{Type: MsgAssign, From: initiator, Job: p, Via: n.id, Span: span})
 	if !n.cfg.AssignAck {
+		n.env.Send(to, Message{Type: MsgAssign, From: initiator, Job: p, Via: n.id, Span: span})
 		return
 	}
-	if prev, ok := n.outAssigns[p.UUID]; ok && prev.timer != nil {
-		prev.timer()
-	}
-	oa := &outAssign{profile: p, to: to, initiator: initiator, reschedule: reschedule, span: span}
-	n.outAssigns[p.UUID] = oa
-	n.jlog(wal.Record{Type: wal.RecAssignSent, UUID: p.UUID, Profile: &p, Peer: to, Init: initiator, Reschedule: reschedule, Span: span})
-	n.armAssignRetry(oa)
-}
-
-// armAssignRetry schedules the next retransmission check for oa, doubling
-// the wait on every attempt (same backoff discipline as REQUEST re-floods).
-// Caller holds the lock.
-func (n *Node) armAssignRetry(oa *outAssign) {
-	uuid := oa.profile.UUID
-	delay := n.cfg.AssignAckTimeout << uint(min(oa.attempts, 6))
-	oa.timer = n.env.Schedule(delay, func() { n.assignRetryFire(uuid) })
-}
-
-// assignRetryFire retransmits an unacknowledged ASSIGN or, once retries are
-// exhausted, runs the fallback path.
-func (n *Node) assignRetryFire(uuid job.UUID) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if !n.alive {
-		return
-	}
-	oa, ok := n.outAssigns[uuid]
-	if !ok {
-		return
-	}
-	// Once the target is confirmed dead, retransmitting is pointless: run
-	// the fallback immediately instead of waiting out the backoff ladder.
-	if oa.attempts >= n.cfg.AssignMaxRetries || n.peerDead(oa.to) {
-		delete(n.outAssigns, uuid)
-		n.jlog(wal.Record{Type: wal.RecAssignClosed, UUID: uuid})
-		n.assignFallback(oa)
-		return
-	}
-	oa.attempts++
-	n.obs.AssignRetried(n.env.Now(), n.id, uuid, oa.attempts)
-	n.jlog(wal.Record{Type: wal.RecAssignSent, UUID: uuid, Profile: &oa.profile, Peer: oa.to, Init: oa.initiator, Reschedule: oa.reschedule, Attempts: oa.attempts, Span: oa.span})
-	n.emitSpan(TraceEvent{Kind: SpanRetry, UUID: uuid, Parent: oa.span, Peer: oa.to, Attempt: oa.attempts})
-	n.env.Send(oa.to, Message{Type: MsgAssign, From: oa.initiator, Job: oa.profile, Via: n.id, Span: oa.span})
-	n.armAssignRetry(oa)
+	n.openResend(&resend{kind: resendAssign, profile: p, peer: to, initiator: initiator, reschedule: reschedule, span: span})
 }
 
 // assignFallback recovers an assignment whose every retransmission went
@@ -763,7 +643,7 @@ func (n *Node) assignRetryFire(uuid job.UUID) {
 // assignee takes the job back into its own queue — the loss-safe handoff
 // guarantee that a dropped ASSIGN never orphans a queued job. Caller holds
 // the lock.
-func (n *Node) assignFallback(oa *outAssign) {
+func (n *Node) assignFallback(oa *resend) {
 	uuid := oa.profile.UUID
 	if oa.reschedule {
 		if _, queued := n.queue.Get(uuid); queued {
@@ -772,7 +652,7 @@ func (n *Node) assignFallback(oa *outAssign) {
 		if n.running != nil && n.running.UUID == uuid {
 			return
 		}
-		fb := n.emitSpan(TraceEvent{Kind: SpanFallback, UUID: uuid, Parent: oa.span, Peer: oa.to})
+		fb := n.emitSpan(TraceEvent{Kind: SpanFallback, UUID: uuid, Parent: oa.span, Peer: oa.peer})
 		n.enqueueLocal(oa.profile, oa.initiator, fb)
 		n.obs.AssignRecovered(n.env.Now(), n.id, uuid)
 		return
@@ -781,7 +661,7 @@ func (n *Node) assignFallback(oa *outAssign) {
 		return
 	}
 	n.obs.AssignRecovered(n.env.Now(), n.id, uuid)
-	fb := n.emitSpan(TraceEvent{Kind: SpanFallback, UUID: uuid, Parent: oa.span, Peer: oa.to})
+	fb := n.emitSpan(TraceEvent{Kind: SpanFallback, UUID: uuid, Parent: oa.span, Peer: oa.peer})
 	n.startDiscovery(oa.profile, 0, fb)
 }
 
@@ -944,7 +824,7 @@ func (n *Node) watchdogFire(uuid job.UUID) {
 		n.obs.JobFailed(n.env.Now(), n.id, uuid, "lost after resubmission limit")
 		return
 	}
-	_, handshakeOpen := n.outAssigns[uuid]
+	_, handshakeOpen := n.outbox[resendKey{uuid, resendAssign}]
 	if t.defers < watchdogMaxDefers && (handshakeOpen || n.peerLive(t.assignee)) {
 		// Stand down while another recovery mechanism still owns the job.
 		// An open ASSIGN handshake means the retransmission loop is live:
@@ -1012,15 +892,11 @@ func (n *Node) handleAssignAck(m Message) {
 		n.commitGranted(pc, m)
 		return
 	}
-	oa, ok := n.outAssigns[m.Job.UUID]
-	if !ok || m.From != oa.to {
+	oa, ok := n.outbox[resendKey{m.Job.UUID, resendAssign}]
+	if !ok || m.From != oa.peer {
 		return // no open handshake, or an ack from a stale assignee
 	}
-	if oa.timer != nil {
-		oa.timer()
-	}
-	delete(n.outAssigns, m.Job.UUID)
-	n.jlog(wal.Record{Type: wal.RecAssignClosed, UUID: m.Job.UUID})
+	n.closeResend(m.Job.UUID, resendAssign)
 	if oa.attempts > 0 {
 		n.obs.AssignRecovered(n.env.Now(), n.id, m.Job.UUID)
 	}
@@ -1030,7 +906,11 @@ func (n *Node) handleAssignAck(m Message) {
 // fenced (awaiting re-confirmation), queued, or running. Caller holds the
 // lock.
 func (n *Node) handleCancel(m Message) {
-	if n.dropHeld(m.Job.UUID, m.Span, m.From) {
+	if _, fenced := n.closeResend(m.Job.UUID, resendFenced); fenced {
+		// The copy was journaled as enqueued at recovery, so its revocation
+		// journals the matching dequeue.
+		n.emitSpan(TraceEvent{Kind: SpanCancel, UUID: m.Job.UUID, Parent: m.Span, Peer: m.From})
+		n.jlog(wal.Record{Type: wal.RecDequeue, UUID: m.Job.UUID})
 		return
 	}
 	n.dropLocalCopy(m.Job.UUID, m.Span, m.From)
@@ -1217,7 +1097,7 @@ func (n *Node) handleRescheduleOffer(m Message) {
 		Peer: m.From, Cost: m.Cost, OldCost: current,
 	})
 	// With the handshake on, the job stays this node's responsibility
-	// (tracked in outAssigns) until the new assignee acknowledges; if the
+	// (an ASSIGN in the outbox) until the new assignee acknowledges; if the
 	// ASSIGN is lost, the fallback re-enqueues it here.
 	n.sendAssign(m.From, m.Job, initiator, true, rspan)
 }
@@ -1233,38 +1113,7 @@ func (n *Node) handleAssign(m Message) {
 	if m.Job.Validate() != nil {
 		return
 	}
-	if pn, done := n.notifyOut[m.Job.UUID]; done {
-		// This node already completed the job and the initiator has not
-		// acked the completion yet: a retransmitted ASSIGN (its earlier ack
-		// was lost) must not re-run it. Re-ack the handshake and push the
-		// completion NOTIFY again instead.
-		if n.cfg.AssignAck {
-			n.env.Send(m.Via, Message{Type: MsgAssignAck, From: n.id, Job: m.Job, Span: m.Span})
-		}
-		n.emitSpan(TraceEvent{Kind: SpanDuplicate, UUID: m.Job.UUID, Parent: m.Span, Peer: m.From, Msg: MsgAssign})
-		n.env.Send(pn.initiator, Message{Type: MsgNotify, From: n.id, Job: pn.profile, Notify: NotifyCompleted, Span: pn.span})
-		return
-	}
-	if _, fenced := n.held[m.Job.UUID]; fenced {
-		// A retransmitted ASSIGN for a fenced recovered copy is an implicit
-		// confirmation: the initiator still wants this node to run it.
-		if n.cfg.AssignAck {
-			n.env.Send(m.Via, Message{Type: MsgAssignAck, From: n.id, Job: m.Job, Span: m.Span})
-		}
-		n.emitSpan(TraceEvent{Kind: SpanDuplicate, UUID: m.Job.UUID, Parent: m.Span, Peer: m.From, Msg: MsgAssign})
-		n.releaseHeld(m.Job.UUID)
-		return
-	}
-	_, queued := n.queue.Get(m.Job.UUID)
-	if queued || (n.running != nil && n.running.UUID == m.Job.UUID) {
-		// Duplicate delivery (lossy links, or a failsafe resubmission that
-		// re-chose the node already holding the job). Re-acknowledged —
-		// the earlier ack may have been lost — and traced so the
-		// assignment span keeps an observable consequence.
-		if n.cfg.AssignAck {
-			n.env.Send(m.Via, Message{Type: MsgAssignAck, From: n.id, Job: m.Job, Span: m.Span})
-		}
-		n.emitSpan(TraceEvent{Kind: SpanDuplicate, UUID: m.Job.UUID, Parent: m.Span, Peer: m.From, Msg: MsgAssign})
+	if n.absorbRedelivery(m, m.Via, n.cfg.AssignAck) {
 		return
 	}
 	// A saturated provider refuses the job instead of queueing unbounded
@@ -1308,13 +1157,13 @@ func (n *Node) handleNotify(m Message) {
 		n.cancelCopies(m.Job.UUID, m.Job, m.From, m.Span)
 		return
 	case NotifyAck:
-		n.closeNotifyOut(m.Job.UUID)
+		n.closeResend(m.Job.UUID, resendNotify)
 		return
 	case NotifyResurfaced:
 		n.handleResurfaced(m)
 		return
 	case NotifyConfirm:
-		n.releaseHeld(m.Job.UUID)
+		n.releaseFenced(m.Job.UUID)
 		return
 	case NotifyCompleted:
 		// Acknowledge unconditionally, tracked or not: the assignee resends
@@ -1324,7 +1173,7 @@ func (n *Node) handleNotify(m Message) {
 		// The completion supersedes any ASSIGN handshake still open for the
 		// job: retransmitting it could re-run the job at an assignee that no
 		// longer remembers it.
-		n.closeAssignOnComplete(m.Job.UUID)
+		n.closeResend(m.Job.UUID, resendAssign)
 		// Likewise any still-open optimistic-commit round: a grant racing
 		// this completion would place (and re-run) a copy of a finished job.
 		n.closeCommitOnComplete(m.Job.UUID)
@@ -1408,7 +1257,7 @@ func (n *Node) handleNotify(m Message) {
 // even before the replacement's own NOTIFY(queued) arrives. Caller holds
 // the lock.
 func (n *Node) redundantCopy(uuid job.UUID, from overlay.NodeID) bool {
-	if oa, ok := n.outAssigns[uuid]; ok && oa.to == from {
+	if oa, ok := n.outbox[resendKey{uuid, resendAssign}]; ok && oa.peer == from {
 		return false // the replacement copy itself, confirming
 	}
 	if _, ok := n.queue.Get(uuid); ok {
@@ -1419,82 +1268,6 @@ func (n *Node) redundantCopy(uuid job.UUID, from overlay.NodeID) bool {
 	}
 	t, ok := n.tracked[uuid]
 	return ok && t.assignee != 0 && t.assignee != from
-}
-
-// closeAssignOnComplete closes an open ASSIGN handshake for a job this node
-// learned is complete. Without this, a lost ACK would keep the
-// retransmission loop alive, and a later duplicate ASSIGN could re-run the
-// job at an assignee that no longer remembers it. Caller holds the lock.
-func (n *Node) closeAssignOnComplete(uuid job.UUID) {
-	oa, ok := n.outAssigns[uuid]
-	if !ok {
-		return
-	}
-	if oa.timer != nil {
-		oa.timer()
-	}
-	delete(n.outAssigns, uuid)
-	n.jlog(wal.Record{Type: wal.RecAssignClosed, UUID: uuid})
-}
-
-// armNotifyRetry schedules the next completion-NOTIFY retransmission on
-// the shared ack-retry cadence. Caller holds the lock.
-func (n *Node) armNotifyRetry(pn *pendingNotify) {
-	uuid := pn.profile.UUID
-	pn.timer = n.env.Schedule(n.ackRetryDelay(pn.attempts), func() { n.notifyRetryFire(uuid) })
-}
-
-// ackRetryDelay is the resend cadence for ack-gated NOTIFY loops
-// (completion notifies, resurfaced queries): flat at AssignAckTimeout for
-// the first attempts, then doubling (capped). The flat head is
-// load-bearing for exactly-one execution — a transient one-way outage
-// swallows the early sends, and the signal must land within one timeout of
-// the heal, before the initiator's watchdog places a replacement copy.
-// Early exponential growth would leave exactly that window silent. Caller
-// holds the lock.
-func (n *Node) ackRetryDelay(attempts int) time.Duration {
-	return n.cfg.AssignAckTimeout << uint(min(max(attempts-3, 0), 6))
-}
-
-// notifyRetryFire retransmits an unacknowledged completion NOTIFY. The
-// resend is span-silent and not re-journaled: attempts carry no recovery
-// semantics, and the receiving side is idempotent (duplicate completion
-// notifies only re-ack).
-func (n *Node) notifyRetryFire(uuid job.UUID) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if !n.alive {
-		return
-	}
-	pn, ok := n.notifyOut[uuid]
-	if !ok {
-		return
-	}
-	if n.peerDead(pn.initiator) {
-		// A dead initiator can never ack; whoever takes over the job next
-		// either learns of it fresh (a wiped restart) or recovers its own
-		// tracking and re-asks. Close the loop.
-		delete(n.notifyOut, uuid)
-		n.jlog(wal.Record{Type: wal.RecNotifyAck, UUID: uuid})
-		return
-	}
-	pn.attempts++
-	n.env.Send(pn.initiator, Message{Type: MsgNotify, From: n.id, Job: pn.profile, Notify: NotifyCompleted, Span: pn.span})
-	n.armNotifyRetry(pn)
-}
-
-// closeNotifyOut closes the completion-NOTIFY resend loop once the
-// initiator's ack arrives. Caller holds the lock.
-func (n *Node) closeNotifyOut(uuid job.UUID) {
-	pn, ok := n.notifyOut[uuid]
-	if !ok {
-		return
-	}
-	if pn.timer != nil {
-		pn.timer()
-	}
-	delete(n.notifyOut, uuid)
-	n.jlog(wal.Record{Type: wal.RecNotifyAck, UUID: uuid})
 }
 
 // handleResurfaced answers an assignee's post-recovery query about a
@@ -1531,76 +1304,6 @@ func (n *Node) handleResurfaced(m Message) {
 	n.jlog(wal.Record{Type: wal.RecNotify, UUID: uuid, Peer: m.From})
 	n.armWatchdog(t)
 	n.env.Send(m.From, Message{Type: MsgNotify, From: n.id, Job: m.Job, Notify: NotifyConfirm, Span: m.Span})
-}
-
-// releaseHeld moves a fenced recovered copy into the run queue — the
-// initiator confirmed it (explicitly, implicitly via a retransmitted
-// ASSIGN, or by being confirmed dead, in which case no watchdog can have
-// placed a replacement). A no-op when nothing is fenced for the job.
-// Caller holds the lock.
-func (n *Node) releaseHeld(uuid job.UUID) {
-	h, ok := n.held[uuid]
-	if !ok {
-		return
-	}
-	if h.timer != nil {
-		h.timer()
-	}
-	delete(n.held, uuid)
-	n.initiators[uuid] = h.initiator
-	n.queue.Enqueue(job.New(h.profile), n.env.Now())
-	if n.tobs != nil {
-		n.enqSpans[uuid] = h.span
-	}
-	n.maybeStart()
-}
-
-// dropHeld revokes a fenced recovered copy, reporting whether one was
-// found. The copy was journaled as enqueued at recovery, so the revocation
-// journals the matching dequeue. Caller holds the lock.
-func (n *Node) dropHeld(uuid job.UUID, parent uint64, peer overlay.NodeID) bool {
-	h, ok := n.held[uuid]
-	if !ok {
-		return false
-	}
-	if h.timer != nil {
-		h.timer()
-	}
-	delete(n.held, uuid)
-	n.emitSpan(TraceEvent{Kind: SpanCancel, UUID: uuid, Parent: parent, Peer: peer})
-	n.jlog(wal.Record{Type: wal.RecDequeue, UUID: uuid})
-	return true
-}
-
-// armResurfacedRetry schedules the next resurfaced-query retransmission on
-// the shared ack-retry cadence. Caller holds the lock.
-func (n *Node) armResurfacedRetry(h *heldJob) {
-	uuid := h.profile.UUID
-	h.timer = n.env.Schedule(n.ackRetryDelay(h.attempts), func() { n.resurfacedRetryFire(uuid) })
-}
-
-// resurfacedRetryFire re-asks the initiator about a fenced recovered copy.
-// There is no retry cap: an unreachable initiator keeps the copy fenced
-// (delayed, never duplicated) until the partition heals. A confirmed-dead
-// initiator releases the copy instead — its watchdog died with it, so no
-// replacement can race the execution, while holding on would lose the job.
-func (n *Node) resurfacedRetryFire(uuid job.UUID) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if !n.alive {
-		return
-	}
-	h, ok := n.held[uuid]
-	if !ok {
-		return
-	}
-	if n.peerDead(h.initiator) {
-		n.releaseHeld(uuid)
-		return
-	}
-	h.attempts++
-	n.env.Send(h.initiator, Message{Type: MsgNotify, From: n.id, Job: h.profile, Notify: NotifyResurfaced, Span: h.span})
-	n.armResurfacedRetry(h)
 }
 
 // maybeStart begins executing the next queued job when the execution slot
@@ -1687,32 +1390,21 @@ func (n *Node) completeRunning() {
 	if n.cfg.NotifyInitiator && initiator != n.id {
 		// Same discipline for the completion notify: once the event is
 		// observable, a crash must still resend the NOTIFY until acked, or
-		// the initiator's watchdog would rerun an already-reported job. The
-		// entry opens before its record, so a compaction the append
-		// triggers snapshots it.
-		n.notifyOut[j.UUID] = &pendingNotify{profile: j.Profile, initiator: initiator, span: cspan}
-		n.jlog(wal.Record{Type: wal.RecNotifySent, UUID: j.UUID, Profile: &j.Profile, Peer: initiator, Span: cspan})
+		// the initiator's watchdog would rerun an already-reported job.
+		n.openResend(&resend{kind: resendNotify, profile: j.Profile, peer: initiator, initiator: initiator, span: cspan})
 	}
 	n.obs.JobCompleted(now, n.id, j)
 	// Any ASSIGN handshake still open for this job (a resubmission that
 	// self-assigned while the original ASSIGN awaits its ack) closes now.
-	n.closeAssignOnComplete(j.UUID)
-	if n.cfg.NotifyInitiator {
-		if initiator == n.id {
-			// Local initiator: clear tracking directly.
-			if t, ok := n.tracked[j.UUID]; ok {
-				if t.watchdog != nil {
-					t.watchdog()
-				}
-				delete(n.tracked, j.UUID)
-				n.jlog(wal.Record{Type: wal.RecTrackDone, UUID: j.UUID})
+	n.closeResend(j.UUID, resendAssign)
+	if n.cfg.NotifyInitiator && initiator == n.id {
+		// Local initiator: clear tracking directly.
+		if t, ok := n.tracked[j.UUID]; ok {
+			if t.watchdog != nil {
+				t.watchdog()
 			}
-		} else {
-			pn := n.notifyOut[j.UUID]
-			n.env.Send(initiator, Message{
-				Type: MsgNotify, From: n.id, Job: j.Profile, Notify: NotifyCompleted, Span: cspan,
-			})
-			n.armNotifyRetry(pn)
+			delete(n.tracked, j.UUID)
+			n.jlog(wal.Record{Type: wal.RecTrackDone, UUID: j.UUID})
 		}
 	}
 	n.maybeStart()

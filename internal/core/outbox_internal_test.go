@@ -76,7 +76,7 @@ func checkpointKeepsPendingCompletionNotify(t *testing.T, snapshotEvery int) {
 		t.Fatal(err)
 	}
 	net.engine.Run(time.Hour + time.Minute)
-	if open := len(assignee.notifyOut); open != 1 {
+	if open := assignee.openResends(resendNotify); open != 1 {
 		t.Fatalf("staging failed: %d open completion notifies, want 1", open)
 	}
 	pending := func() int {
@@ -121,6 +121,19 @@ func checkpointKeepsPendingCompletionNotify(t *testing.T, snapshotEvery int) {
 	if got := net.requestsFrom(1); got != 1 {
 		t.Fatalf("initiator resubmitted the completed job: %d floods", got)
 	}
+}
+
+// openResends counts the node's outbox entries of one kind.
+func (n *Node) openResends(kind resendKind) int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	count := 0
+	for key := range n.outbox {
+		if key.kind == kind {
+			count++
+		}
+	}
+	return count
 }
 
 // spanLog records the trace events a node emits.

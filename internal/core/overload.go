@@ -6,7 +6,6 @@ import (
 
 	"github.com/smartgrid/aria/internal/directory"
 	"github.com/smartgrid/aria/internal/overlay"
-	"github.com/smartgrid/aria/internal/wal"
 )
 
 // ErrOverloaded is returned by Submit when admission control rejects a job:
@@ -101,15 +100,11 @@ func (n *Node) handleBusy(m Message) {
 	}
 	uuid := m.Job.UUID
 	profile, initiator, reschedule := m.Job, m.Via, m.Via != n.id
-	if oa, ok := n.outAssigns[uuid]; ok {
-		if m.From != oa.to {
+	if oa, ok := n.outbox[resendKey{uuid, resendAssign}]; ok {
+		if m.From != oa.peer {
 			return // stale BUSY from a node no longer holding the handshake
 		}
-		if oa.timer != nil {
-			oa.timer()
-		}
-		delete(n.outAssigns, uuid)
-		n.jlog(wal.Record{Type: wal.RecAssignClosed, UUID: uuid})
+		n.closeResend(uuid, resendAssign)
 		profile, initiator, reschedule = oa.profile, oa.initiator, oa.reschedule
 	} else if n.cfg.AssignAck {
 		return // handshake already closed (ack raced the BUSY, or a duplicate)

@@ -23,8 +23,8 @@ const (
 type RecoveryStats struct {
 	// JobsRecovered counts distinct job-state entries restored: queued
 	// jobs (including an interrupted running job, which re-enters the
-	// queue), re-armed initiator watchdogs, and re-opened ASSIGN
-	// handshakes.
+	// queue), re-armed initiator watchdogs, re-opened ASSIGN handshakes
+	// and re-sent completion NOTIFYs.
 	JobsRecovered int
 
 	// ReplayRecords is the number of journal records folded on top of the
@@ -62,10 +62,11 @@ func (n *Node) Journal() *wal.Journal {
 
 // Recover rebuilds the node's scheduler state from the attached journal:
 // the local queue, initiator failsafe tracking (watchdogs re-armed on the
-// environment clock), and unacknowledged outbound ASSIGNs (handshake
-// reopened with an immediate retransmission). Recovered queued jobs notify
-// their initiators and, when rescheduling is enabled, are re-announced via
-// INFORM under fresh flood sequence numbers. Replayed spans parent to the
+// environment clock), and the outbox — unacknowledged ASSIGNs and
+// completion NOTIFYs re-open with an immediate resend, and queued copies
+// of remotely initiated jobs come back fenced until their initiator
+// re-confirms them. Unfenced queued jobs are re-announced via INFORM when
+// rescheduling is enabled, under fresh flood sequence numbers. Replayed spans parent to the
 // journaled pre-crash spans, linking the recovery into the original causal
 // tree.
 //
@@ -138,7 +139,7 @@ func (n *Node) Recover() (RecoveryStats, error) {
 		if _, dup := n.queue.Get(uuid); dup {
 			continue
 		}
-		if _, dup := n.held[uuid]; dup {
+		if _, dup := n.outbox[resendKey{uuid, resendFenced}]; dup {
 			continue
 		}
 		initiator := q.Initiator
@@ -155,10 +156,7 @@ func (n *Node) Recover() (RecoveryStats, error) {
 			// backoff, so a partitioned initiator delays the copy rather
 			// than duplicating it. Durably the copy stays an enqueued job:
 			// a re-crash replays it here and fences it again.
-			h := &heldJob{profile: q.Profile, initiator: initiator, span: rspan}
-			n.held[uuid] = h
-			n.env.Send(initiator, Message{Type: MsgNotify, From: n.id, Job: q.Profile, Notify: NotifyResurfaced, Span: rspan})
-			n.armResurfacedRetry(h)
+			n.openResend(&resend{kind: resendFenced, profile: q.Profile, peer: initiator, initiator: initiator, span: rspan})
 			continue
 		}
 		n.initiators[uuid] = initiator
@@ -185,35 +183,18 @@ func (n *Node) Recover() (RecoveryStats, error) {
 	// Unacknowledged outbound ASSIGNs: reopen the handshake and retransmit
 	// immediately. Duplicate delivery is safe — the assignee re-acks
 	// ASSIGNs it already queued.
-	for _, oaState := range state.OutAssigns {
-		uuid := oaState.Profile.UUID
-		rspan := n.emitSpan(TraceEvent{Kind: SpanRecovered, UUID: uuid, Parent: oaState.Span, Msg: MsgAssignAck, Peer: oaState.To, Attempt: oaState.Attempts})
-		oa := &outAssign{
-			profile:    oaState.Profile,
-			to:         oaState.To,
-			span:       rspan,
-			initiator:  oaState.Initiator,
-			reschedule: oaState.Reschedule,
-			attempts:   oaState.Attempts,
-		}
-		n.outAssigns[uuid] = oa
-		n.jlog(wal.Record{Type: wal.RecAssignSent, UUID: uuid, Profile: &oaState.Profile, Peer: oa.to, Init: oa.initiator, Reschedule: oa.reschedule, Attempts: oa.attempts, Span: rspan})
-		n.env.Send(oa.to, Message{Type: MsgAssign, From: oa.initiator, Job: oa.profile, Via: n.id, Span: rspan})
-		n.armAssignRetry(oa)
+	for _, oa := range state.OutAssigns {
+		rspan := n.emitSpan(TraceEvent{Kind: SpanRecovered, UUID: oa.Profile.UUID, Parent: oa.Span, Msg: MsgAssignAck, Peer: oa.To, Attempt: oa.Attempts})
+		n.openResend(&resend{kind: resendAssign, profile: oa.Profile, peer: oa.To, initiator: oa.Initiator, reschedule: oa.Reschedule, span: rspan, attempts: oa.Attempts})
 	}
 
 	// Completion NOTIFYs that never got their ack: resend immediately and
 	// re-arm the backoff loop. Over-sending is safe (the initiator acks
 	// duplicates, and unknown jobs too); under-sending would leave its
 	// watchdog to rerun a job this node already completed and reported.
-	for _, pnState := range state.PendingNotify {
-		uuid := pnState.Profile.UUID
-		rspan := n.emitSpan(TraceEvent{Kind: SpanRecovered, UUID: uuid, Parent: pnState.Span, Msg: MsgNotify, Peer: pnState.Initiator})
-		pn := &pendingNotify{profile: pnState.Profile, initiator: pnState.Initiator, span: rspan}
-		n.notifyOut[uuid] = pn
-		n.jlog(wal.Record{Type: wal.RecNotifySent, UUID: uuid, Profile: &pnState.Profile, Peer: pn.initiator, Span: rspan})
-		n.env.Send(pn.initiator, Message{Type: MsgNotify, From: n.id, Job: pn.profile, Notify: NotifyCompleted, Span: rspan})
-		n.armNotifyRetry(pn)
+	for _, pn := range state.PendingNotify {
+		rspan := n.emitSpan(TraceEvent{Kind: SpanRecovered, UUID: pn.Profile.UUID, Parent: pn.Span, Msg: MsgNotify, Peer: pn.Initiator})
+		n.openResend(&resend{kind: resendNotify, profile: pn.Profile, peer: pn.Initiator, initiator: pn.Initiator, span: rspan})
 	}
 
 	n.obs.NodeRecovered(now, n.id, stats.JobsRecovered, stats.ReplayRecords, stats.SnapshotAge)
@@ -308,24 +289,23 @@ func (n *Node) snapshotState() *wal.State {
 		}
 		s.Queued = append(s.Queued, wal.QueuedJob{Profile: j.Profile, Initiator: initiator, Span: n.enqSpans[j.UUID]})
 	}
-	// Fenced recovered copies are durably still queued jobs: a restart
-	// replays them and re-fences.
-	for _, h := range n.held {
-		s.Queued = append(s.Queued, wal.QueuedJob{Profile: h.profile, Initiator: h.initiator, Span: h.span})
+	for _, r := range n.sortedResends() {
+		switch r.kind {
+		case resendAssign:
+			s.OutAssigns = append(s.OutAssigns, wal.OutAssign{Profile: r.profile, To: r.peer, Initiator: r.initiator, Reschedule: r.reschedule, Attempts: r.attempts, Span: r.span})
+		case resendNotify:
+			s.PendingNotify = append(s.PendingNotify, wal.PendingNotify{Profile: r.profile, Initiator: r.peer, Span: r.span})
+		case resendFenced:
+			// Fenced recovered copies are durably still queued jobs: a
+			// restart replays them and fences them again.
+			s.Queued = append(s.Queued, wal.QueuedJob{Profile: r.profile, Initiator: r.initiator, Span: r.span})
+		}
 	}
 	sort.Slice(s.Queued, func(i, k int) bool { return s.Queued[i].Profile.UUID < s.Queued[k].Profile.UUID })
 	for _, t := range n.tracked {
 		s.Tracked = append(s.Tracked, wal.TrackedJob{Profile: t.profile, Assignee: t.assignee, Resub: t.resub, Expect: t.expect, Span: t.span})
 	}
 	sort.Slice(s.Tracked, func(i, k int) bool { return s.Tracked[i].Profile.UUID < s.Tracked[k].Profile.UUID })
-	for _, oa := range n.outAssigns {
-		s.OutAssigns = append(s.OutAssigns, wal.OutAssign{Profile: oa.profile, To: oa.to, Initiator: oa.initiator, Reschedule: oa.reschedule, Attempts: oa.attempts, Span: oa.span})
-	}
-	sort.Slice(s.OutAssigns, func(i, k int) bool { return s.OutAssigns[i].Profile.UUID < s.OutAssigns[k].Profile.UUID })
-	for _, pn := range n.notifyOut {
-		s.PendingNotify = append(s.PendingNotify, wal.PendingNotify{Profile: pn.profile, Initiator: pn.initiator, Span: pn.span})
-	}
-	sort.Slice(s.PendingNotify, func(i, k int) bool { return s.PendingNotify[i].Profile.UUID < s.PendingNotify[k].Profile.UUID })
 	if n.running != nil {
 		s.Running = &wal.RunningJob{Profile: n.running.Profile, Initiator: n.runningInitiator, Span: n.runningSpan}
 	}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"github.com/smartgrid/aria/internal/directory"
 	"github.com/smartgrid/aria/internal/job"
 	"github.com/smartgrid/aria/internal/overlay"
@@ -128,27 +126,7 @@ func (n *Node) handleCommit(m Message) {
 		return
 	}
 	uuid := m.Job.UUID
-	if pn, done := n.notifyOut[uuid]; done {
-		// Already completed here and the completion NOTIFY is still
-		// unacked: a re-commit (a watchdog resubmission that re-picked this
-		// node) must not re-run the job. Re-grant and push the completion
-		// again, mirroring the duplicate-ASSIGN path.
-		n.env.Send(m.From, Message{Type: MsgAssignAck, From: n.id, Job: m.Job, Span: m.Span})
-		n.emitSpan(TraceEvent{Kind: SpanDuplicate, UUID: uuid, Parent: m.Span, Peer: m.From, Msg: MsgCommit})
-		n.env.Send(pn.initiator, Message{Type: MsgNotify, From: n.id, Job: pn.profile, Notify: NotifyCompleted, Span: pn.span})
-		return
-	}
-	if _, fenced := n.held[uuid]; fenced {
-		// A re-commit for a fenced recovered copy is an implicit
-		// confirmation that the initiator still wants it here.
-		n.env.Send(m.From, Message{Type: MsgAssignAck, From: n.id, Job: m.Job, Span: m.Span})
-		n.emitSpan(TraceEvent{Kind: SpanDuplicate, UUID: uuid, Parent: m.Span, Peer: m.From, Msg: MsgCommit})
-		n.releaseHeld(uuid)
-		return
-	}
-	if _, queued := n.queue.Get(uuid); queued || (n.running != nil && n.running.UUID == uuid) {
-		n.env.Send(m.From, Message{Type: MsgAssignAck, From: n.id, Job: m.Job, Span: m.Span})
-		n.emitSpan(TraceEvent{Kind: SpanDuplicate, UUID: uuid, Parent: m.Span, Peer: m.From, Msg: MsgCommit})
+	if n.absorbRedelivery(m, m.From, true) {
 		return
 	}
 	now := n.env.Now()
@@ -248,8 +226,9 @@ func (n *Node) commitTimeoutFire(uuid job.UUID) {
 }
 
 // failCommit closes one failed commit attempt: retry against the refreshed
-// view after a bounded backoff, or — at K failures — abandon the view and
-// escalate to the classic flood. Caller holds the lock.
+// view after a backoff doubling per failure (desynchronizing initiators
+// that conflicted on the same provider), or — at K failures — abandon the
+// view and escalate to the classic flood. Caller holds the lock.
 func (n *Node) failCommit(pc *pendingCommit, reason string, conflictSpan uint64) {
 	uuid := pc.profile.UUID
 	n.obs.CommitConflict(n.env.Now(), n.id, uuid, pc.target, reason, pc.attempts)
@@ -257,7 +236,7 @@ func (n *Node) failCommit(pc *pendingCommit, reason string, conflictSpan uint64)
 		n.commitFallback(pc, conflictSpan)
 		return
 	}
-	pc.timer = n.env.Schedule(n.commitBackoff(pc.attempts), func() { n.commitRetryFire(uuid, conflictSpan) })
+	pc.timer = n.env.Schedule(backoff(n.cfg.CommitBackoff, pc.attempts-1), func() { n.commitRetryFire(uuid, conflictSpan) })
 }
 
 // commitRetryFire re-picks from the refreshed view and dispatches the next
@@ -335,11 +314,4 @@ func (n *Node) closeCommitOnComplete(uuid job.UUID) {
 	n.resolveCommitView(pc)
 	cspan := n.emitSpan(TraceEvent{Kind: SpanCancel, UUID: uuid, Parent: pc.span, Peer: pc.target})
 	n.env.Send(pc.target, Message{Type: MsgCancel, From: n.id, Job: pc.profile, Span: cspan})
-}
-
-// commitBackoff is the pause before commit attempt attempts+1: the
-// configured base doubled per failure (bounded), desynchronizing
-// initiators that conflicted on the same provider.
-func (n *Node) commitBackoff(attempts int) time.Duration {
-	return n.cfg.CommitBackoff << uint(min(attempts-1, 6))
 }

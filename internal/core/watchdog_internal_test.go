@@ -222,10 +222,7 @@ func TestCompletionNotifyRetryPreventsResubmit(t *testing.T) {
 		t.Fatalf("job declared failed: %d", counter.failed)
 	}
 	// The ack closed the resend loop on the assignee.
-	assignee.mu.Lock()
-	open := len(assignee.notifyOut)
-	assignee.mu.Unlock()
-	if open != 0 {
+	if open := assignee.openResends(resendNotify); open != 0 {
 		t.Fatalf("resend loop still open: %d pending notifies", open)
 	}
 }
@@ -284,7 +281,7 @@ func TestWatchdogDefersWhileAssignHandshakeOpen(t *testing.T) {
 	}
 	tj := &trackedJob{profile: p, assignee: 2}
 	n.tracked[p.UUID] = tj
-	n.outAssigns[p.UUID] = &outAssign{profile: p, to: 2}
+	n.outbox[resendKey{p.UUID, resendAssign}] = &resend{kind: resendAssign, profile: p, peer: 2}
 
 	for i := 1; i <= watchdogMaxDefers; i++ {
 		n.watchdogFire(p.UUID)
@@ -303,7 +300,7 @@ func TestWatchdogDefersWhileAssignHandshakeOpen(t *testing.T) {
 	// the first firing resubmits immediately, as before.
 	tj2 := &trackedJob{profile: p, assignee: 2}
 	n.tracked[p.UUID] = tj2
-	delete(n.outAssigns, p.UUID)
+	delete(n.outbox, resendKey{p.UUID, resendAssign})
 	n.watchdogFire(p.UUID)
 	if tj2.defers != 0 || tj2.resub != 1 {
 		t.Fatalf("closed handshake must not defer: defers=%d resub=%d", tj2.defers, tj2.resub)
