@@ -16,17 +16,7 @@ import (
 // payload and learns another, so a stray per-message slice shows up as
 // garbage on every probe round.
 func TestDirectoryGossipAllocationBudget(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.ProbeInterval = DefaultProbeInterval
-	cfg.ProbeTimeout = DefaultProbeTimeout
-	cfg.SuspectTimeout = DefaultSuspectTimeout
-	cfg.DirectoryCapacity = DefaultDirectoryCapacity
-	cfg.DirectoryTTL = DefaultDirectoryTTL
-	cfg.DirectoryGossip = DefaultDirectoryGossip
-	cfg.SharedStateBound = DefaultSharedStateBound
-	cfg.SharedStateRetries = DefaultSharedStateRetries
-	cfg.CommitTimeout = DefaultCommitTimeout
-	cfg.CommitBackoff = DefaultCommitBackoff
+	cfg := sharedStateConfig()
 	n, env := newTestNode(t, cfg)
 
 	prof := func(i int) resource.Profile {
