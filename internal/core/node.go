@@ -1391,7 +1391,7 @@ func (n *Node) completeRunning() {
 		// Same discipline for the completion notify: once the event is
 		// observable, a crash must still resend the NOTIFY until acked, or
 		// the initiator's watchdog would rerun an already-reported job.
-		n.openResend(&resend{kind: resendNotify, profile: j.Profile, peer: initiator, initiator: initiator, span: cspan})
+		n.openResend(&resend{kind: resendNotify, profile: j.Profile, peer: initiator, span: cspan})
 	}
 	n.obs.JobCompleted(now, n.id, j)
 	// Any ASSIGN handshake still open for this job (a resubmission that

@@ -50,12 +50,11 @@ type resend struct {
 	// peer receives the resends: the assignee of an ASSIGN, the initiator
 	// otherwise.
 	peer overlay.NodeID
-	// initiator is the job's initiator. For an ASSIGN it is the From the
-	// message carries: this node for a first assignment, the original
-	// initiator for a rescheduling handoff.
-	initiator overlay.NodeID
-	// reschedule marks an ASSIGN handing a queued job off; its fallback
-	// re-enqueues the job locally instead of rediscovering it.
+	// initiator and reschedule belong to an ASSIGN. initiator is the From
+	// it carries: this node for a first assignment, the original initiator
+	// for a rescheduling handoff. reschedule marks the handoff, whose
+	// fallback re-enqueues the job locally instead of rediscovering it.
+	initiator  overlay.NodeID
 	reschedule bool
 	// span rides every resend, and the entry's outcome parents to it: the
 	// assignment, completion or recovery span.
@@ -196,7 +195,7 @@ func (n *Node) releaseFenced(uuid job.UUID) {
 	if !ok {
 		return
 	}
-	n.initiators[uuid] = h.initiator
+	n.initiators[uuid] = h.peer
 	n.queue.Enqueue(job.New(h.profile), n.env.Now())
 	if n.tobs != nil {
 		n.enqSpans[uuid] = h.span

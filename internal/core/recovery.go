@@ -156,7 +156,7 @@ func (n *Node) Recover() (RecoveryStats, error) {
 			// backoff, so a partitioned initiator delays the copy rather
 			// than duplicating it. Durably the copy stays an enqueued job:
 			// a re-crash replays it here and fences it again.
-			n.openResend(&resend{kind: resendFenced, profile: q.Profile, peer: initiator, initiator: initiator, span: rspan})
+			n.openResend(&resend{kind: resendFenced, profile: q.Profile, peer: initiator, span: rspan})
 			continue
 		}
 		n.initiators[uuid] = initiator
@@ -194,7 +194,7 @@ func (n *Node) Recover() (RecoveryStats, error) {
 	// watchdog to rerun a job this node already completed and reported.
 	for _, pn := range state.PendingNotify {
 		rspan := n.emitSpan(TraceEvent{Kind: SpanRecovered, UUID: pn.Profile.UUID, Parent: pn.Span, Msg: MsgNotify, Peer: pn.Initiator})
-		n.openResend(&resend{kind: resendNotify, profile: pn.Profile, peer: pn.Initiator, initiator: pn.Initiator, span: rspan})
+		n.openResend(&resend{kind: resendNotify, profile: pn.Profile, peer: pn.Initiator, span: rspan})
 	}
 
 	n.obs.NodeRecovered(now, n.id, stats.JobsRecovered, stats.ReplayRecords, stats.SnapshotAge)
@@ -298,7 +298,7 @@ func (n *Node) snapshotState() *wal.State {
 		case resendFenced:
 			// Fenced recovered copies are durably still queued jobs: a
 			// restart replays them and fences them again.
-			s.Queued = append(s.Queued, wal.QueuedJob{Profile: r.profile, Initiator: r.initiator, Span: r.span})
+			s.Queued = append(s.Queued, wal.QueuedJob{Profile: r.profile, Initiator: r.peer, Span: r.span})
 		}
 	}
 	sort.Slice(s.Queued, func(i, k int) bool { return s.Queued[i].Profile.UUID < s.Queued[k].Profile.UUID })
