@@ -906,7 +906,7 @@ func (n *Node) handleAssignAck(m Message) {
 // fenced (awaiting re-confirmation), queued, or running. Caller holds the
 // lock.
 func (n *Node) handleCancel(m Message) {
-	if _, fenced := n.closeResend(m.Job.UUID, resendFenced); fenced {
+	if n.closeResend(m.Job.UUID, resendFenced) != nil {
 		// The copy was journaled as enqueued at recovery, so its revocation
 		// journals the matching dequeue.
 		n.emitSpan(TraceEvent{Kind: SpanCancel, UUID: m.Job.UUID, Parent: m.Span, Peer: m.From})

@@ -163,15 +163,16 @@ func (n *Node) resendFire(key resendKey) {
 	n.armResend(r)
 }
 
-// closeResend ends the entry under (uuid, kind), if any: it cancels the
-// timer, drops the entry and journals the close — the handshake closed, or
-// the completion acked. A fenced copy's fate is journaled by the caller
-// that decides it. Caller holds the lock.
-func (n *Node) closeResend(uuid job.UUID, kind resendKind) (*resend, bool) {
+// closeResend ends the entry under (uuid, kind) and returns it, or nil
+// when there is none: it cancels the timer, drops the entry and journals
+// the close — the handshake closed, or the completion acked. A fenced
+// copy's fate is journaled by the caller that decides it. Caller holds the
+// lock.
+func (n *Node) closeResend(uuid job.UUID, kind resendKind) *resend {
 	key := resendKey{uuid, kind}
 	r, ok := n.outbox[key]
 	if !ok {
-		return nil, false
+		return nil
 	}
 	if r.timer != nil {
 		r.timer()
@@ -183,7 +184,7 @@ func (n *Node) closeResend(uuid job.UUID, kind resendKind) (*resend, bool) {
 	case resendNotify:
 		n.jlog(wal.Record{Type: wal.RecNotifyAck, UUID: uuid})
 	}
-	return r, true
+	return r
 }
 
 // releaseFenced moves a fenced recovered copy into the run queue: the
@@ -191,8 +192,8 @@ func (n *Node) closeResend(uuid job.UUID, kind resendKind) (*resend, bool) {
 // ASSIGN, or by being confirmed dead). A no-op when nothing is fenced for
 // the job. Caller holds the lock.
 func (n *Node) releaseFenced(uuid job.UUID) {
-	h, ok := n.closeResend(uuid, resendFenced)
-	if !ok {
+	h := n.closeResend(uuid, resendFenced)
+	if h == nil {
 		return
 	}
 	n.initiators[uuid] = h.peer

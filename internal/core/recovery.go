@@ -66,9 +66,9 @@ func (n *Node) Journal() *wal.Journal {
 // completion NOTIFYs re-open with an immediate resend, and queued copies
 // of remotely initiated jobs come back fenced until their initiator
 // re-confirms them. Unfenced queued jobs are re-announced via INFORM when
-// rescheduling is enabled, under fresh flood sequence numbers. Replayed spans parent to the
-// journaled pre-crash spans, linking the recovery into the original causal
-// tree.
+// rescheduling is enabled, under fresh flood sequence numbers. Replayed
+// spans parent to the journaled pre-crash spans, linking the recovery into
+// the original causal tree.
 //
 // Call after AttachJournal and before Start, on a node that has taken no
 // traffic. Recovery ends with a fresh snapshot (compacting the pre-crash
