@@ -42,19 +42,21 @@ bench-check:
 	$(GO) test ./internal/sim/ -run '^$$' -bench . -benchtime 10000x
 	$(GO) run ./cmd/ariabench -quick -out BENCH_sim.ci.json
 
-# figs-check is the figure oracle for the extension figures: it regenerates
-# the figures named in FIGS with the command that made the checked-in
-# artifacts and fails on any byte difference from results/. A refactor that
-# must not move a number passes it unchanged. The default set, fig105-fig109
-# (the plane counters' figures), takes ~23 min on 2 CPUs; the per-PR CI job
-# runs the cheap set, FIGS="101 102 103 104", in about a minute.
+# figs-check is the figure oracle: it regenerates the figures named in FIGS
+# at RUNS repetitions, the command that made the checked-in artifacts, and
+# fails on any byte difference from results/. A refactor that must not move
+# a number passes it unchanged. The default set, fig105-fig109 (the plane
+# counters' figures), takes ~23 min on 2 CPUs; the per-PR CI job runs the
+# cheap sets, FIGS="101 102 103 104" in about a minute and the paper's own
+# figures, FIGS="1 2 3 4 5 6 7 8 9 10" RUNS=5, in about five.
 FIGS ?= 105 106 107 108 109
+RUNS ?= 3
 
 figs-check:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	$(GO) build -o "$$dir/ariaeval" ./cmd/ariaeval && \
 	for f in $(FIGS); do \
-		"$$dir/ariaeval" -fig $$f -runs 3 -out "$$dir/figs" -v=false >/dev/null || exit 1; \
+		"$$dir/ariaeval" -fig $$f -runs $(RUNS) -out "$$dir/figs" -v=false >/dev/null || exit 1; \
 	done && \
 	for got in "$$dir"/figs/*; do \
 		diff -u "results/$$(basename "$$got")" "$$got" || exit 1; \

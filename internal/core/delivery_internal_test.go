@@ -101,7 +101,10 @@ func (e *lossyEnv) Send(to overlay.NodeID, m Message) {
 	})
 }
 
-func (e *lossyEnv) Neighbors() []overlay.NodeID { return e.net.links[e.id] }
+// Neighbors returns a copy: the caller may filter and shuffle it in place.
+func (e *lossyEnv) Neighbors() []overlay.NodeID {
+	return append([]overlay.NodeID(nil), e.net.links[e.id]...)
+}
 
 func (e *lossyEnv) Rand() *rand.Rand { return e.net.engine.Rand() }
 

@@ -30,7 +30,8 @@ type Env interface {
 	// Send delivers m to the given node asynchronously.
 	Send(to overlay.NodeID, m Message)
 
-	// Neighbors lists the node's current overlay neighbors.
+	// Neighbors lists the node's current overlay neighbors. The caller may
+	// modify the slice; it is valid until the next Neighbors call.
 	Neighbors() []overlay.NodeID
 
 	// Rand is the node's random source. Under the simulator this is the

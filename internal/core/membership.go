@@ -146,7 +146,9 @@ func (n *Node) peerSuspect(peer overlay.NodeID) bool {
 }
 
 // livePeers returns the current neighbors not marked dead, in the
-// environment's order. Caller holds the lock.
+// environment's order. It filters Env.Neighbors' slice in place, so the
+// result is valid only until the next Neighbors call. Caller holds the
+// lock.
 func (n *Node) livePeers() []overlay.NodeID {
 	neighbors := n.env.Neighbors()
 	out := neighbors[:0]
@@ -169,7 +171,7 @@ func (n *Node) probeTick() {
 		n.probeIdx++
 		n.probePeer(targets[n.probeIdx%len(targets)])
 	}
-	n.probeCancel = n.env.Schedule(n.cfg.ProbeInterval, n.probeTick)
+	n.probeCancel = n.env.Schedule(n.cfg.ProbeInterval, n.probeFn)
 }
 
 // probePeer sends one PING to peer and arms its probe timeout. Caller holds

@@ -116,10 +116,25 @@ type Node struct {
 	enqSpans    map[job.UUID]uint64
 	runningSpan uint64
 
-	seq          uint64
-	spanSeq      uint64
-	informCancel Cancel
-	started      bool
+	seq     uint64
+	spanSeq uint64
+	started bool
+
+	// INFORM advertiser (§III-D). It ticks on the phase-aligned schedule
+	// informNext + k·InformInterval, but only while the queue holds a job:
+	// RescheduleCandidatesBy draws from the queue alone, so a tick over an
+	// empty queue could never send anything. Such a tick does not re-arm;
+	// the advertiser goes dormant, and the next enqueue wakes it at the
+	// first aligned instant strictly after now (wakeInform). Every tick
+	// that remains fires at the instant it would have fired anyway, so
+	// nothing observable moves. informNext is the due instant of the armed
+	// tick, or of the last one while dormant. informFn and probeFn cache
+	// the method values, which would otherwise allocate on every arm.
+	informCancel  Cancel
+	informNext    time.Duration
+	informDormant bool
+	informFn      func()
+	probeFn       func()
 }
 
 // pendingJob is an initiator's bookkeeping for one discovery round.
@@ -228,6 +243,7 @@ func NewNode(
 		outbox:     make(map[resendKey]*resend),
 		enqSpans:   make(map[job.UUID]uint64),
 	}
+	n.informFn, n.probeFn = n.informTick, n.probeTick
 	if cfg.Membership() {
 		// A non-nil peers map is the engine-wide membership gate.
 		n.peers = make(map[overlay.NodeID]*peerHealth)
@@ -264,7 +280,8 @@ func (n *Node) Policy() sched.Policy { return n.queue.Policy() }
 // Start arms the periodic INFORM advertiser (when rescheduling is enabled)
 // and the membership probe loop (when the detector is enabled). Both fire
 // first after a random phase within one interval so that node activity is
-// staggered.
+// staggered. An advertiser with nothing queued starts dormant: it keeps its
+// phase but arms no timer until the first enqueue.
 func (n *Node) Start() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -275,11 +292,13 @@ func (n *Node) Start() {
 	n.started = true
 	if n.cfg.Rescheduling() {
 		phase := time.Duration(n.env.Rand().Int63n(int64(n.cfg.InformInterval)))
-		n.informCancel = n.env.Schedule(phase+n.cfg.InformInterval, n.informTick)
+		n.informNext = n.env.Now() + phase + n.cfg.InformInterval
+		n.informDormant = true
+		n.wakeInform() // arms now only if Recover already filled the queue
 	}
 	if n.cfg.Membership() {
 		phase := time.Duration(n.env.Rand().Int63n(int64(n.cfg.ProbeInterval)))
-		n.probeCancel = n.env.Schedule(phase, n.probeTick)
+		n.probeCancel = n.env.Schedule(phase, n.probeFn)
 	}
 }
 
@@ -288,11 +307,34 @@ func (n *Node) Start() {
 func (n *Node) Stop() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	n.stopInform()
+	n.cancelMembershipTimers()
+}
+
+// stopInform cancels the advertiser for good, dormant or armed: no later
+// enqueue wakes it. Caller holds the lock.
+func (n *Node) stopInform() {
 	if n.informCancel != nil {
 		n.informCancel()
 		n.informCancel = nil
 	}
-	n.cancelMembershipTimers()
+	n.informDormant = false
+}
+
+// wakeInform arms a dormant advertiser when the queue holds a job, at the
+// first instant of its schedule strictly after now — the instant an
+// advertiser that never slept would tick next. A no-op unless dormant.
+// Caller holds the lock.
+func (n *Node) wakeInform() {
+	if !n.informDormant || n.queue.Len() == 0 {
+		return
+	}
+	n.informDormant = false
+	now, every := n.env.Now(), n.cfg.InformInterval
+	if n.informNext <= now {
+		n.informNext += ((now-n.informNext)/every + 1) * every
+	}
+	n.informCancel = n.env.Schedule(n.informNext-now, n.informFn)
 }
 
 // Kill simulates a node crash: all timers are cancelled, queued and running
@@ -304,9 +346,7 @@ func (n *Node) Kill() {
 	if n.runningTimer != nil {
 		n.runningTimer()
 	}
-	if n.informCancel != nil {
-		n.informCancel()
-	}
+	n.stopInform()
 	// Discovery rounds die with their initiator; the sorted walk keeps the
 	// emitted span order deterministic.
 	pendUUIDs := make([]job.UUID, 0, len(n.pending))
@@ -1147,6 +1187,7 @@ func (n *Node) enqueueLocal(p job.Profile, initiator overlay.NodeID, parent uint
 		n.env.Send(initiator, Message{Type: MsgNotify, From: n.id, Job: p, Notify: NotifyQueued, Span: espan})
 	}
 	n.maybeStart()
+	n.wakeInform()
 }
 
 // handleNotify updates the initiator's failsafe tracking state and drives
@@ -1410,14 +1451,20 @@ func (n *Node) completeRunning() {
 	n.maybeStart()
 }
 
-// informTick advertises reschedulable jobs and re-arms itself.
+// informTick advertises reschedulable jobs and re-arms itself, or goes
+// dormant when the queue is empty.
 func (n *Node) informTick() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if !n.alive {
+	if !n.alive || n.informCancel == nil {
+		return // crashed, or stopped while a live timer was already firing
+	}
+	n.informCancel = nil
+	now := n.env.Now()
+	if n.queue.Len() == 0 {
+		n.informDormant = true
 		return
 	}
-	now := n.env.Now()
 	remaining := n.estRemaining()
 	for _, cand := range n.queue.RescheduleCandidatesBy(n.cfg.InformSelection, n.cfg.InformJobs, now, remaining) {
 		cost, ok := n.queue.QueuedCost(cand.UUID, now, remaining)
@@ -1450,7 +1497,8 @@ func (n *Node) informTick() {
 			Seq: msg.Seq, Origin: n.id, Cost: cost,
 		})
 	}
-	n.informCancel = n.env.Schedule(n.cfg.InformInterval, n.informTick)
+	n.informNext = now + n.cfg.InformInterval
+	n.informCancel = n.env.Schedule(n.cfg.InformInterval, n.informFn)
 }
 
 // forwardFlood relays a flood message one more hop if its TTL allows. The

@@ -202,6 +202,7 @@ func (n *Node) releaseFenced(uuid job.UUID) {
 		n.enqSpans[uuid] = h.span
 	}
 	n.maybeStart()
+	n.wakeInform()
 }
 
 // absorbRedelivery answers an ASSIGN or COMMIT for a job this node already

@@ -213,6 +213,7 @@ func (n *Node) Recover() (RecoveryStats, error) {
 		}
 	}
 	n.maybeStart()
+	n.wakeInform()
 	return stats, nil
 }
 

@@ -112,13 +112,14 @@ func (g *Graph) HasLink(a, b NodeID) bool {
 
 // Neighbors returns a copy of a node's neighbor list, in ascending ID order.
 func (g *Graph) Neighbors(id NodeID) []NodeID {
-	nbs := g.adj[id]
-	if len(nbs) == 0 {
-		return nil
-	}
-	out := make([]NodeID, len(nbs))
-	copy(out, nbs)
-	return out
+	return g.AppendNeighbors(nil, id)
+}
+
+// AppendNeighbors appends a node's neighbors to dst, in ascending ID order,
+// and returns the extended slice. Passing a reused dst[:0] makes the read
+// allocation-free; dst never aliases the graph's own storage.
+func (g *Graph) AppendNeighbors(dst []NodeID, id NodeID) []NodeID {
+	return append(dst, g.adj[id]...)
 }
 
 // Degree reports the number of links at a node.

@@ -2,7 +2,6 @@ package overlay
 
 import (
 	"fmt"
-	"hash/fnv"
 	"time"
 )
 
@@ -51,18 +50,28 @@ func (l *PairwiseLatency) Delay(from, to NodeID) time.Duration {
 	if a > b {
 		a, b = b, a
 	}
-	h := fnv.New64a()
-	var buf [24]byte
-	put64(buf[0:8], uint64(uint32(a)))
-	put64(buf[8:16], uint64(uint32(b)))
-	put64(buf[16:24], l.salt)
-	_, _ = h.Write(buf[:]) // fnv.Write never fails
 	span := uint64(l.Max - l.Min)
 	if span == 0 {
 		return l.Min
 	}
-	return l.Min + time.Duration(h.Sum64()%(span+1))
+	// FNV-1a over the little-endian bytes of (a, b, salt), folded in
+	// directly rather than packed into a buffer for a hash/fnv hasher: this
+	// runs once per simulated hop.
+	h := uint64(fnvOffset64)
+	for _, v := range [3]uint64{uint64(uint32(a)), uint64(uint32(b)), l.salt} {
+		for i := 0; i < 64; i += 8 {
+			h ^= (v >> i) & 0xff
+			h *= fnvPrime64
+		}
+	}
+	return l.Min + time.Duration(h%(span+1))
 }
+
+// The 64-bit FNV-1a parameters (as in hash/fnv).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
 
 // FixedLatency returns the same delay for every pair; useful in tests.
 type FixedLatency time.Duration
@@ -119,10 +128,4 @@ func (s *SiteLatency) Delay(from, to NodeID) time.Duration {
 		return s.lan.Delay(from, to)
 	}
 	return s.wan.Delay(from, to)
-}
-
-func put64(dst []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		dst[i] = byte(v >> (8 * i))
-	}
 }

@@ -1,6 +1,8 @@
 package overlay
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math/rand"
 	"strings"
 	"testing"
@@ -85,6 +87,49 @@ func TestNeighborsSortedAndCopied(t *testing.T) {
 	nbs[0] = 99
 	if g.Neighbors(3)[0] != 1 {
 		t.Fatal("Neighbors returned internal slice")
+	}
+}
+
+func TestAppendNeighbors(t *testing.T) {
+	g := NewGraph()
+	for i := NodeID(1); i <= 5; i++ {
+		g.AddNode(i)
+	}
+	g.AddLink(3, 5)
+	g.AddLink(3, 1)
+	g.AddLink(3, 4)
+	for _, tc := range []struct {
+		name string
+		dst  []NodeID
+		id   NodeID
+		want []NodeID
+	}{
+		{"nil dst", nil, 3, []NodeID{1, 4, 5}},
+		{"reused dst", make([]NodeID, 0, 8), 3, []NodeID{1, 4, 5}},
+		{"keeps prefix", []NodeID{9}, 3, []NodeID{9, 1, 4, 5}},
+		{"leaf", nil, 5, []NodeID{3}},
+		{"isolated", []NodeID{}, 2, []NodeID{}},
+		{"absent node", []NodeID{7}, 42, []NodeID{7}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := g.AppendNeighbors(tc.dst, tc.id)
+			if len(got) != len(tc.want) {
+				t.Fatalf("AppendNeighbors = %v, want %v", got, tc.want)
+			}
+			for i := range got {
+				if got[i] != tc.want[i] {
+					t.Fatalf("AppendNeighbors = %v, want %v", got, tc.want)
+				}
+				got[i] = 99 // the caller owns the result
+			}
+			if g.Neighbors(3)[0] != 1 {
+				t.Fatal("AppendNeighbors aliased the graph's adjacency")
+			}
+		})
+	}
+	dst := make([]NodeID, 0, 8)
+	if n := testing.AllocsPerRun(100, func() { dst = g.AppendNeighbors(dst[:0], 3) }); n != 0 {
+		t.Fatalf("AppendNeighbors into a reused slice: %v allocs, want 0", n)
 	}
 }
 
@@ -310,6 +355,47 @@ func TestPairwiseLatencyProperties(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestPairwiseLatencyMatchesHashFNV pins the inlined hash bit for bit to
+// FNV-1a from hash/fnv over the pair and salt, so every simulated delay —
+// and with it every figure — stays what it was.
+func TestPairwiseLatencyMatchesHashFNV(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 2000; i++ {
+		lo := time.Duration(1 + rng.Int63n(int64(time.Second)))
+		hi := lo + time.Duration(rng.Int63n(int64(time.Second)))
+		if i%10 == 0 {
+			hi = lo // a zero span takes the early return
+		}
+		m, err := NewPairwiseLatency(lo, hi, rng.Uint64())
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := NodeID(rng.Int31()-rng.Int31()), NodeID(rng.Int31()-rng.Int31())
+		if got, want := m.Delay(a, b), referenceDelay(m, a, b); got != want {
+			t.Fatalf("Delay(%v, %v) with salt %#x in [%v, %v] = %v, hash/fnv gives %v", a, b, m.salt, lo, hi, got, want)
+		}
+	}
+}
+
+// referenceDelay is PairwiseLatency.Delay written against hash/fnv.
+func referenceDelay(l *PairwiseLatency, from, to NodeID) time.Duration {
+	a, b := from, to
+	if a > b {
+		a, b = b, a
+	}
+	var buf [24]byte
+	binary.LittleEndian.PutUint64(buf[0:8], uint64(uint32(a)))
+	binary.LittleEndian.PutUint64(buf[8:16], uint64(uint32(b)))
+	binary.LittleEndian.PutUint64(buf[16:24], l.salt)
+	h := fnv.New64a()
+	_, _ = h.Write(buf[:])
+	span := uint64(l.Max - l.Min)
+	if span == 0 {
+		return l.Min
+	}
+	return l.Min + time.Duration(h.Sum64()%(span+1))
 }
 
 func TestPairwiseLatencySaltChangesDelays(t *testing.T) {

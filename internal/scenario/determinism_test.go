@@ -34,11 +34,11 @@ func TestShardedScenarioDeterminism(t *testing.T) {
 		t.Skip("multi-run determinism check is not short")
 	}
 	pinned := []struct{ name, digest string }{
-		{"iMixed", "e7dc17a353235ce9f28a4552feaa5c16e27168abfdad5d670367099d482d81d1"},         // flood discovery + rescheduling
-		{"iMixed-sites10", "2c89827aa9c6a2dc9daa64327f5e09c66de9e220ef1fa58964f415d965665f44"}, // site latency model
-		{"iLossy", "5cc80f0af92285d9687d4fa70534b1b2eead580fb097e0197fa1a38a83734fcd"},         // keyed drop/duplication/jitter draws
-		{"iDirected", "4315d5a6705e3f7c5273e5621c0ea9bf360f989b4a232c8d760207b69d4b6098"},      // directory gossip + directed probes
-		{"iSharedState", "ecc4e44506c8f132907b62291c49a89daa4f2352e4da71ab479c03c914c4f99d"},   // optimistic commits against the gossip-fed view
+		{"iMixed", "892daf361a4b02fc1848cbc4dfe777b3d226a9211c6da7ea800dcd23a3f99dcb"},         // flood discovery + rescheduling
+		{"iMixed-sites10", "3a9a2e72a5c80b63860bb6134139e02abae432d8239470aa337699ea7e32f402"}, // site latency model
+		{"iLossy", "5ee9adb44f61e116a557f76a3534fa38f5a18c3d40eec603b1bd6b690976a687"},         // keyed drop/duplication/jitter draws
+		{"iDirected", "ec6e1730af836410ca5127b0278696709a0184970d64a4829646c69016325d9a"},      // directory gossip + directed probes
+		{"iSharedState", "6ea2041a5e16cefff0c3dd302e920eda491d1ef8b5fc55edc4dbc8894f320944"},   // optimistic commits against the gossip-fed view
 	}
 	for _, p := range pinned {
 		p := p

@@ -19,7 +19,10 @@ import (
 	"github.com/smartgrid/aria/internal/wal"
 )
 
-// TrafficFunc observes every message transmission (one call per hop).
+// TrafficFunc observes every message transmission (one call per hop). m is
+// valid only during the call: it points into a pooled delivery record that
+// is reused once the message is delivered, so a hook that keeps the message
+// must copy *m.
 type TrafficFunc func(at time.Duration, from, to overlay.NodeID, m *core.Message)
 
 // SimCluster runs a set of protocol nodes on a discrete-event simulation
@@ -50,6 +53,51 @@ type SimCluster struct {
 	specs    map[overlay.NodeID]nodeSpec
 	journals map[overlay.NodeID]*wal.Journal
 	restarts map[overlay.NodeID]uint64
+
+	// free recycles delivery records once their message is handed over.
+	free []*delivery
+}
+
+// delivery is one scheduled transmission: the message by value and the
+// kernel callback that hands it to the destination. Records are pooled on
+// the cluster and fire is bound once per record, so a hop allocates
+// nothing once the pool is warm.
+type delivery struct {
+	cluster *SimCluster
+	to      overlay.NodeID
+	m       core.Message
+	fire    func()
+}
+
+// newDelivery takes a record from the free list, or makes one.
+func (c *SimCluster) newDelivery(to overlay.NodeID, m *core.Message) *delivery {
+	var d *delivery
+	if n := len(c.free); n > 0 {
+		d = c.free[n-1]
+		c.free = c.free[:n-1]
+	} else {
+		d = &delivery{cluster: c}
+		d.fire = d.deliver
+	}
+	d.to, d.m = to, *m
+	return d
+}
+
+// release clears a record (dropping its references into the message) and
+// returns it to the free list.
+func (c *SimCluster) release(d *delivery) {
+	d.m = core.Message{}
+	c.free = append(c.free, d)
+}
+
+// deliver hands the message to its destination, if registered, and
+// recycles the record. HandleMessage takes its own copy of the message.
+func (d *delivery) deliver() {
+	c := d.cluster
+	if dest, ok := c.nodes[d.to]; ok {
+		dest.HandleMessage(d.m)
+	}
+	c.release(d)
 }
 
 // nodeSpec is everything needed to reconstruct a node after a crash.
@@ -231,6 +279,9 @@ type simEnv struct {
 	// sendSeq counts this node-incarnation's transmissions; it keys fault
 	// draws.
 	sendSeq uint64
+
+	// nbrs is the scratch slice Neighbors returns.
+	nbrs []overlay.NodeID
 }
 
 var _ core.Env = (*simEnv)(nil)
@@ -244,30 +295,38 @@ func (e *simEnv) Schedule(delay time.Duration, fn func()) core.Cancel {
 func (e *simEnv) Send(to overlay.NodeID, m core.Message) {
 	c := e.cluster
 	now := e.Now()
+	d := c.newDelivery(to, &m)
 	if c.traffic != nil {
-		c.traffic(now, e.id, to, &m)
+		c.traffic(now, e.id, to, &d.m)
 	}
 	delay := c.latency.Delay(e.id, to)
-	// One heap copy of the message, shared by every delivery closure;
-	// HandleMessage takes its own stack copy at the call boundary.
-	mp := &m
-	deliver := func() {
-		if dest, ok := c.nodes[to]; ok {
-			dest.HandleMessage(*mp)
-		}
-	}
 	if c.faults == nil {
-		c.engine.ScheduleFrom(e.lane, sim.Lane(to), delay, deliver)
+		c.engine.ScheduleFrom(e.lane, sim.Lane(to), delay, d.fire)
 		return
 	}
-	// One scheduled delivery per surviving copy (zero copies = dropped).
+	// One scheduled delivery, with its own record, per surviving copy; a
+	// dropped message returns its record at once.
 	e.sendSeq++
-	for _, extra := range c.faults.PlanKeyed(now, e.id, to, e.sendSeq).ExtraDelays {
-		c.engine.ScheduleFrom(e.lane, sim.Lane(to), delay+extra, deliver)
+	extras := c.faults.PlanKeyed(now, e.id, to, e.sendSeq).ExtraDelays
+	if len(extras) == 0 {
+		c.release(d)
+		return
+	}
+	for i, extra := range extras {
+		r := d
+		if i > 0 {
+			r = c.newDelivery(to, &d.m)
+		}
+		c.engine.ScheduleFrom(e.lane, sim.Lane(to), delay+extra, r.fire)
 	}
 }
 
-func (e *simEnv) Neighbors() []overlay.NodeID { return e.cluster.graph.Neighbors(e.id) }
+// Neighbors returns a scratch slice owned by the env, valid until the next
+// call (see core.Env).
+func (e *simEnv) Neighbors() []overlay.NodeID {
+	e.nbrs = e.cluster.graph.AppendNeighbors(e.nbrs[:0], e.id)
+	return e.nbrs
+}
 
 func (e *simEnv) Rand() *rand.Rand {
 	return e.cluster.engine.LaneRand(e.lane)
