@@ -12,6 +12,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -100,6 +101,7 @@ type Queue struct {
 	policy   Policy
 	perf     float64
 	items    []entry
+	sorted   []entry // ordered's scratch
 	seq      int
 	backfill bool
 }
@@ -239,14 +241,29 @@ func (q *Queue) Jobs() []*job.Job {
 }
 
 // ordered returns entries sorted by the queue discipline, with enqueue
-// sequence as the stable tiebreak.
+// sequence as the stable tiebreak. The result aliases the queue's own
+// storage — its items below two entries, its sort scratch otherwise — so it
+// is valid until the next mutation or ordered call and must not be
+// modified. Every REQUEST a node can host passes through here (OfferCost),
+// so it allocates nothing once the scratch has grown.
 func (q *Queue) ordered() []entry {
-	out := make([]entry, len(q.items))
-	copy(out, q.items)
-	sort.SliceStable(out, func(i, k int) bool {
-		return q.less(out[i], out[k])
-	})
-	return out
+	if len(q.items) < 2 {
+		return q.items
+	}
+	q.sorted = append(q.sorted[:0], q.items...)
+	slices.SortStableFunc(q.sorted, q.compare)
+	return q.sorted
+}
+
+// compare is less as a three-way comparison.
+func (q *Queue) compare(a, b entry) int {
+	switch {
+	case q.less(a, b):
+		return -1
+	case q.less(b, a):
+		return 1
+	}
+	return 0
 }
 
 func (q *Queue) less(a, b entry) bool {
@@ -356,9 +373,9 @@ func (q *Queue) ettc(p job.Profile, now, runningRemaining time.Duration) Cost {
 func (q *Queue) nal(extra *job.Job, now, runningRemaining time.Duration) Cost {
 	entries := q.ordered()
 	if extra != nil {
-		probe := entry{job: extra, seq: q.seq}
-		entries = append(entries, probe)
-		sort.SliceStable(entries, func(i, k int) bool { return q.less(entries[i], entries[k]) })
+		// A fresh copy: ordered's result aliases the queue.
+		entries = append(entries[:len(entries):len(entries)], entry{job: extra, seq: q.seq})
+		slices.SortStableFunc(entries, q.compare)
 	}
 	cum := now + runningRemaining
 	gammas := make([]time.Duration, len(entries))

@@ -578,3 +578,25 @@ func TestParsePolicy(t *testing.T) {
 		t.Fatal("unknown policy accepted")
 	}
 }
+
+// TestOfferCostAllocationFree pins the batch offer path every matching
+// REQUEST takes at zero allocations, whatever the queue holds.
+func TestOfferCostAllocationFree(t *testing.T) {
+	for _, policy := range []Policy{FCFS, SJF} {
+		q := mustQueue(t, policy, 1.5)
+		probe := batchJob(5 * time.Second).Profile
+		for queued := 0; queued <= 4; queued++ {
+			if queued > 0 {
+				q.Enqueue(batchJob(time.Duration(queued)*time.Second), 0)
+			}
+			allocs := testing.AllocsPerRun(100, func() {
+				if _, err := q.OfferCost(probe, 0, time.Second); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%v OfferCost over %d queued jobs: %v allocations, want 0", policy, queued, allocs)
+			}
+		}
+	}
+}
