@@ -15,9 +15,10 @@ import (
 // gossip and on ACCEPT/INFORM traffic, and invalidated by the liveness
 // detector (suspect evicts, dead tombstones) and by transport unreachability.
 // An initiator's first discovery round probes up to DirectedCandidates
-// cached matches with TTL-0 targeted REQUESTs; the classic flood remains the
-// fallback whenever the cache is empty or the directed round starves, so
-// completion semantics never depend on cache quality.
+// cached matches with TTL-0 targeted REQUESTs — the directed stage of the
+// discovery round (round.go); the classic flood remains the fallback
+// whenever the cache is empty or the directed round starves, so completion
+// semantics never depend on cache quality.
 
 // SetIncarnation stamps the node's restart counter, carried in its own
 // profile digest so remote caches can order knowledge across restarts (a
@@ -145,15 +146,7 @@ func (n *Node) startDirected(p job.Profile, parent uint64) bool {
 		n.obs.DirectoryMiss(now, n.id, p.UUID)
 		return false
 	}
-	pend := &pendingJob{profile: p, directed: true}
-	if cost, ok := n.selfOffer(p); ok {
-		pend.best, pend.bestCost, pend.hasBest = n.id, cost, true
-		pend.offers = append(pend.offers, offer{node: n.id, cost: cost})
-	}
-	n.pending[p.UUID] = pend
-	if n.tobs != nil {
-		pend.span = n.nextSpanID()
-	}
+	r := n.openCollect(stageDirected, p, 0)
 	// One wave, many unicasts: every probe shares the sequence number and
 	// span, exactly like flood copies of one wave. Wire TTL 0 means a
 	// receiver that cannot host the job has nothing to forward — the probe
@@ -167,34 +160,19 @@ func (n *Node) startDirected(p job.Profile, parent uint64) bool {
 		Seq:    n.nextSeq(),
 		Via:    n.id,
 		Hop:    1,
-		Span:   pend.span,
+		Span:   r.span,
 	}
 	n.markSeen(msg.floodFP())
 	for _, d := range targets {
 		n.env.Send(d.Node, msg)
 	}
 	n.emitSpan(TraceEvent{
-		Kind: SpanDirectedProbe, UUID: p.UUID, Span: pend.span, Parent: parent,
+		Kind: SpanDirectedProbe, UUID: p.UUID, Span: r.span, Parent: parent,
 		Msg: MsgRequest, Hop: 0, TTL: 1, Fanout: len(targets),
 		Seq: msg.Seq, Origin: n.id,
 	})
 	n.obs.DirectoryHit(now, n.id, p.UUID, len(targets))
 	uuid := p.UUID
-	pend.timer = n.env.Schedule(n.cfg.AcceptTimeout, func() { n.decide(uuid) })
+	r.timer = n.env.Schedule(n.cfg.AcceptTimeout, func() { n.decide(uuid) })
 	return true
-}
-
-// directedFallback closes a starved directed round by escalating to the
-// classic flood: the fallback span links the flood under the directed probe
-// in the causal tree, and the retry budget is untouched (the flood is the
-// round the directed stage tried to avoid, not a retry of one). Caller
-// holds the lock.
-func (n *Node) directedFallback(pend *pendingJob) {
-	uuid := pend.profile.UUID
-	fb := n.emitSpan(TraceEvent{
-		Kind: SpanDirectoryFallback, UUID: uuid, Parent: pend.span,
-		Attempt: pend.directedOffers,
-	})
-	n.obs.DirectoryFallback(n.env.Now(), n.id, uuid, pend.directedOffers)
-	n.startFlood(pend.profile, pend.retries, fb)
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -53,8 +55,8 @@ type Node struct {
 	runningEstEnd    time.Duration
 	runningTimer     Cancel
 
-	// Initiator-side discovery state.
-	pending map[job.UUID]*pendingJob
+	// Initiator-side discovery rounds, every stage in one table (round.go).
+	rounds map[job.UUID]*round
 
 	// Initiator-side failsafe tracking (NotifyInitiator extension).
 	tracked map[job.UUID]*trackedJob
@@ -101,12 +103,10 @@ type Node struct {
 	dirScratch  []directory.Digest
 
 	// Shared-state plane state (nil when the optimistic-commit arm is
-	// disabled): the cluster view layered on the directory store, the open
-	// commit rounds, and — provider side — the instant of the last granted
-	// commit, which classifies a bound-hit conflict as lost-the-race versus
-	// plain stale.
+	// disabled): the cluster view layered on the directory store and —
+	// provider side — the instant of the last granted commit, which
+	// classifies a bound-hit conflict as lost-the-race versus plain stale.
 	view            *sharedstate.Store
-	commits         map[job.UUID]*pendingCommit
 	lastCommitGrant time.Duration
 
 	// Trace plane bookkeeping (only maintained with a TraceObserver):
@@ -135,35 +135,6 @@ type Node struct {
 	informDormant bool
 	informFn      func()
 	probeFn       func()
-}
-
-// pendingJob is an initiator's bookkeeping for one discovery round.
-type pendingJob struct {
-	profile  job.Profile
-	retries  int
-	best     overlay.NodeID
-	bestCost sched.Cost
-	hasBest  bool
-	timer    Cancel
-
-	// span is the round's flood-origin (or directed-probe) span; decision
-	// events parent to it.
-	span uint64
-
-	// offers collects every distinct offer when multi-assign is on.
-	offers []offer
-
-	// directed marks a directory-driven round of TTL-0 targeted probes;
-	// directedOffers counts the remote ACCEPTs it collected, gating the
-	// flood fallback against MinDirectedOffers.
-	directed       bool
-	directedOffers int
-}
-
-// offer is one candidate's bid.
-type offer struct {
-	node overlay.NodeID
-	cost sched.Cost
 }
 
 // watchdogMaxDefers bounds how many times a firing watchdog stands down
@@ -236,7 +207,7 @@ func NewNode(
 		art:        art,
 		alive:      true,
 		queue:      queue,
-		pending:    make(map[job.UUID]*pendingJob),
+		rounds:     make(map[job.UUID]*round),
 		tracked:    make(map[job.UUID]*trackedJob),
 		multi:      make(map[job.UUID][]overlay.NodeID),
 		initiators: make(map[job.UUID]overlay.NodeID),
@@ -262,7 +233,6 @@ func NewNode(
 	if cfg.SharedState() {
 		// A non-nil view is the engine-wide optimistic-commit gate.
 		n.view = sharedstate.New(n.dir, cfg.SharedStateBound)
-		n.commits = make(map[job.UUID]*pendingCommit)
 		n.lastCommitGrant = -1
 	}
 	return n, nil
@@ -348,31 +318,14 @@ func (n *Node) Kill() {
 	}
 	n.stopInform()
 	// Discovery rounds die with their initiator; the sorted walk keeps the
-	// emitted span order deterministic.
-	pendUUIDs := make([]job.UUID, 0, len(n.pending))
-	for uuid := range n.pending {
-		pendUUIDs = append(pendUUIDs, uuid)
-	}
-	sort.Slice(pendUUIDs, func(i, k int) bool { return pendUUIDs[i] < pendUUIDs[k] })
-	for _, uuid := range pendUUIDs {
-		p := n.pending[uuid]
-		if p.timer != nil {
-			p.timer()
+	// emitted span order deterministic. A commit round's loss names its
+	// target.
+	for _, uuid := range slices.Sorted(maps.Keys(n.rounds)) {
+		r := n.rounds[uuid]
+		if r.timer != nil {
+			r.timer()
 		}
-		n.emitSpan(TraceEvent{Kind: SpanLost, UUID: uuid, Parent: p.span})
-	}
-	// Open optimistic-commit rounds die with their initiator too.
-	commitUUIDs := make([]job.UUID, 0, len(n.commits))
-	for uuid := range n.commits {
-		commitUUIDs = append(commitUUIDs, uuid)
-	}
-	sort.Slice(commitUUIDs, func(i, k int) bool { return commitUUIDs[i] < commitUUIDs[k] })
-	for _, uuid := range commitUUIDs {
-		pc := n.commits[uuid]
-		if pc.timer != nil {
-			pc.timer()
-		}
-		n.emitSpan(TraceEvent{Kind: SpanLost, UUID: uuid, Parent: pc.span, Peer: pc.target})
+		n.emitSpan(TraceEvent{Kind: SpanLost, UUID: uuid, Parent: r.span, Peer: r.target})
 	}
 	for _, t := range n.tracked {
 		if t.watchdog != nil {
@@ -400,10 +353,7 @@ func (n *Node) Kill() {
 	}
 	n.running = nil
 	n.runningSpan = 0
-	n.pending = make(map[job.UUID]*pendingJob)
-	if n.commits != nil {
-		n.commits = make(map[job.UUID]*pendingCommit)
-	}
+	n.rounds = make(map[job.UUID]*round)
 	n.tracked = make(map[job.UUID]*trackedJob)
 	n.outbox = make(map[resendKey]*resend)
 	// A crash loses the local queue; the initiators' failsafe watchdogs
@@ -492,14 +442,14 @@ func (n *Node) Submit(p job.Profile) error {
 	if !n.alive {
 		return fmt.Errorf("submit: node %v is dead", n.id)
 	}
-	if n.discoveryOpen(p.UUID) {
+	if _, open := n.rounds[p.UUID]; open {
 		return fmt.Errorf("submit: job %s already pending", p.UUID.Short())
 	}
 	// Admission control: past the pending bound the submission is bounced
 	// before it counts as submitted, so the caller can redraw another
-	// portal or push back on the client. Open commit rounds count — they
-	// are discoveries in flight like any other.
-	if inflight := len(n.pending) + len(n.commits); n.cfg.MaxPendingSubmits > 0 && inflight >= n.cfg.MaxPendingSubmits {
+	// portal or push back on the client. Every open round counts, whatever
+	// its stage.
+	if inflight := len(n.rounds); n.cfg.MaxPendingSubmits > 0 && inflight >= n.cfg.MaxPendingSubmits {
 		n.obs.SubmitRejected(n.env.Now(), n.id, p.UUID, inflight)
 		return fmt.Errorf("submit: node %v: %w", n.id, ErrOverloaded)
 	}
@@ -507,69 +457,6 @@ func (n *Node) Submit(p job.Profile) error {
 	root := n.emitSpan(TraceEvent{Kind: SpanSubmit, UUID: p.UUID})
 	n.startDiscovery(p, 0, root)
 	return nil
-}
-
-// startDiscovery opens a discovery round for p, trying the cheapest stage
-// that can work: an optimistic commit against the cached cluster view
-// (shared-state extension), then directed probes (directory extension),
-// then the classic REQUEST flood. The cheap stages run on fresh rounds
-// only — retries have already proven the cached knowledge insufficient for
-// this job. Caller holds the lock.
-func (n *Node) startDiscovery(p job.Profile, retries int, parent uint64) {
-	if retries == 0 && n.view != nil && n.startCommit(p, parent) {
-		return
-	}
-	if retries == 0 && n.cfg.Directory() && n.dir != nil && n.startDirected(p, parent) {
-		return
-	}
-	n.startFlood(p, retries, parent)
-}
-
-// startFlood floods a REQUEST round for p and arms the decision timer.
-// The round's flood-origin span parents to the given span (the submission,
-// a retry, a watchdog resubmission, an assignment fallback, or a starved
-// directed round's fallback). Caller holds the lock.
-func (n *Node) startFlood(p job.Profile, retries int, parent uint64) {
-	pend := &pendingJob{profile: p, retries: retries}
-	// The initiator is itself a candidate when its resources match.
-	if cost, ok := n.selfOffer(p); ok {
-		pend.best, pend.bestCost, pend.hasBest = n.id, cost, true
-		pend.offers = append(pend.offers, offer{node: n.id, cost: cost})
-	}
-	n.pending[p.UUID] = pend
-	// Flood recovery: a retried round searches a degraded overlay
-	// progressively deeper by escalating the TTL per attempt.
-	ttl := n.cfg.RequestTTL
-	if retries > 0 && n.cfg.ReFloodTTLStep > 0 {
-		ttl += retries * n.cfg.ReFloodTTLStep
-		n.obs.FloodEscalated(n.env.Now(), n.id, p.UUID, retries, ttl)
-	}
-	// The span rides the wire before the fan-out is known, so allocate it
-	// up front and emit the origin event after sending.
-	if n.tobs != nil {
-		pend.span = n.nextSpanID()
-	}
-	msg := Message{
-		Type:   MsgRequest,
-		From:   n.id,
-		Job:    p,
-		Cost:   0,
-		TTL:    ttl - 1,
-		Fanout: n.cfg.RequestFanout,
-		Seq:    n.nextSeq(),
-		Via:    n.id,
-		Hop:    1,
-		Span:   pend.span,
-	}
-	n.markSeen(msg.floodFP())
-	sent := n.forward(msg, n.cfg.RequestFanout)
-	n.emitSpan(TraceEvent{
-		Kind: SpanFloodOrigin, UUID: p.UUID, Span: pend.span, Parent: parent,
-		Msg: MsgRequest, Hop: 0, TTL: ttl, Fanout: sent,
-		Seq: msg.Seq, Origin: n.id, Attempt: retries,
-	})
-	uuid := p.UUID
-	pend.timer = n.env.Schedule(n.cfg.AcceptTimeout, func() { n.decide(uuid) })
 }
 
 // selfOffer evaluates the node's own cost for p. A saturated node never
@@ -588,77 +475,6 @@ func (n *Node) selfOffer(p job.Profile) (sched.Cost, bool) {
 		return 0, false
 	}
 	return cost, true
-}
-
-// decide closes a discovery round: assign to the best offer, or retry.
-func (n *Node) decide(uuid job.UUID) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if !n.alive {
-		return
-	}
-	pend, ok := n.pending[uuid]
-	if !ok {
-		return
-	}
-	delete(n.pending, uuid)
-	// A starved directed round escalates to the flood before any
-	// assignment is considered: directed discovery must never narrow the
-	// candidate pool a flood would have reached.
-	if pend.directed && pend.directedOffers < n.cfg.MinDirectedOffers {
-		n.directedFallback(pend)
-		return
-	}
-	best, bestCost, hasBest := pend.best, pend.bestCost, pend.hasBest
-	if hasBest && n.peerDead(best) {
-		// The winner was confirmed dead during the collect window: re-scan
-		// the surviving offers in arrival order (strict < preserves the
-		// original first-wins tie-breaking).
-		hasBest = false
-		for _, o := range pend.offers {
-			if o.node != n.id && n.peerDead(o.node) {
-				continue
-			}
-			if !hasBest || o.cost < bestCost {
-				best, bestCost, hasBest = o.node, o.cost, true
-			}
-		}
-	}
-	if !hasBest {
-		if pend.retries < n.cfg.MaxRequestRetries {
-			p, retries, parent := pend.profile, pend.retries+1, pend.span
-			n.env.Schedule(n.retryDelay(retries), func() {
-				n.mu.Lock()
-				defer n.mu.Unlock()
-				if !n.alive {
-					return
-				}
-				if n.discoveryOpen(p.UUID) {
-					return
-				}
-				n.startDiscovery(p, retries, parent)
-			})
-			return
-		}
-		n.emitSpan(TraceEvent{Kind: SpanFail, UUID: uuid, Parent: pend.span, Attempt: pend.retries})
-		n.obs.JobFailed(n.env.Now(), n.id, uuid, "no candidate found")
-		return
-	}
-	if n.cfg.MultiAssign > 1 {
-		n.multiAssign(pend)
-		return
-	}
-	n.obs.JobAssigned(n.env.Now(), uuid, n.id, best, bestCost, false)
-	aspan := n.emitSpan(TraceEvent{
-		Kind: SpanAssign, UUID: uuid, Parent: pend.span,
-		Peer: best, Cost: bestCost,
-	})
-	n.trackAssignment(pend.profile, best, bestCost, aspan)
-	if best == n.id {
-		n.enqueueLocal(pend.profile, n.id, aspan)
-		return
-	}
-	n.sendAssign(best, pend.profile, n.id, false, aspan)
 }
 
 // sendAssign dispatches an ASSIGN to a remote node and, when the AssignAck
@@ -697,7 +513,7 @@ func (n *Node) assignFallback(oa *resend) {
 		n.obs.AssignRecovered(n.env.Now(), n.id, uuid)
 		return
 	}
-	if n.discoveryOpen(uuid) {
+	if _, open := n.rounds[uuid]; open {
 		return
 	}
 	n.obs.AssignRecovered(n.env.Now(), n.id, uuid)
@@ -709,13 +525,13 @@ func (n *Node) assignFallback(oa *resend) {
 // protocol: the K cheapest distinct offers each receive a copy of the job;
 // the first copy to start executing triggers revocation of the rest.
 // Caller holds the lock.
-func (n *Node) multiAssign(pend *pendingJob) {
-	sort.SliceStable(pend.offers, func(i, k int) bool {
-		return pend.offers[i].cost < pend.offers[k].cost
+func (n *Node) multiAssign(r *round) {
+	sort.SliceStable(r.offers, func(i, k int) bool {
+		return r.offers[i].cost < r.offers[k].cost
 	})
 	var targets []offer
 	seen := make(map[overlay.NodeID]bool, n.cfg.MultiAssign)
-	for _, o := range pend.offers {
+	for _, o := range r.offers {
 		if seen[o.node] {
 			continue
 		}
@@ -725,7 +541,7 @@ func (n *Node) multiAssign(pend *pendingJob) {
 			break
 		}
 	}
-	uuid := pend.profile.UUID
+	uuid := r.profile.UUID
 	assignees := make([]overlay.NodeID, 0, len(targets))
 	for _, o := range targets {
 		assignees = append(assignees, o.node)
@@ -740,7 +556,7 @@ func (n *Node) multiAssign(pend *pendingJob) {
 			n.obs.JobAssigned(n.env.Now(), uuid, n.id, o.node, o.cost, false)
 		}
 		cspan := n.emitSpan(TraceEvent{
-			Kind: SpanAssign, UUID: uuid, Parent: pend.span,
+			Kind: SpanAssign, UUID: uuid, Parent: r.span,
 			Peer: o.node, Cost: o.cost,
 		})
 		if o.node == n.id {
@@ -751,10 +567,10 @@ func (n *Node) multiAssign(pend *pendingJob) {
 			selfSpan = cspan
 			continue
 		}
-		n.env.Send(o.node, Message{Type: MsgAssign, From: n.id, Job: pend.profile, Via: n.id, Span: cspan})
+		n.env.Send(o.node, Message{Type: MsgAssign, From: n.id, Job: r.profile, Via: n.id, Span: cspan})
 	}
 	if selfCopy {
-		n.enqueueLocal(pend.profile, n.id, selfSpan)
+		n.enqueueLocal(r.profile, n.id, selfSpan)
 	}
 }
 
@@ -883,7 +699,7 @@ func (n *Node) watchdogFire(uuid job.UUID) {
 	t.resub++
 	t.watchdog = nil
 	n.jlog(wal.Record{Type: wal.RecWatchdog, UUID: uuid, Profile: &t.profile, Peer: t.assignee, Resub: t.resub, Expect: t.expect, Span: t.span})
-	if !n.discoveryOpen(uuid) {
+	if _, open := n.rounds[uuid]; !open {
 		rs := n.emitSpan(TraceEvent{Kind: SpanResubmit, UUID: uuid, Peer: t.assignee, Attempt: t.resub})
 		n.startDiscovery(t.profile, 0, rs)
 	}
@@ -928,8 +744,8 @@ func (n *Node) HandleMessage(m Message) {
 // the shared-state arm, a commit grant: the provider's ASSIGN_ACK for an
 // open commit round is the grant itself. Caller holds the lock.
 func (n *Node) handleAssignAck(m Message) {
-	if pc, ok := n.commits[m.Job.UUID]; ok && m.From == pc.target {
-		n.commitGranted(pc, m)
+	if r := n.commitRound(m.Job.UUID); r != nil && m.From == r.target {
+		n.commitGranted(r, m)
 		return
 	}
 	oa, ok := n.outbox[resendKey{m.Job.UUID, resendAssign}]
@@ -1070,8 +886,9 @@ func (n *Node) handleInform(m Message) {
 }
 
 // handleAccept routes an ACCEPT to the right context: a discovery reply
-// when this node is the job's initiator with an open round, otherwise a
-// rescheduling offer for a job queued here. Caller holds the lock.
+// when this node is the job's initiator with a round open at a collect
+// stage, otherwise a rescheduling offer for a job queued here. Caller holds
+// the lock.
 func (n *Node) handleAccept(m Message) {
 	if n.peerDead(m.From) {
 		return // stale offer from a confirmed-dead peer
@@ -1085,18 +902,18 @@ func (n *Node) handleAccept(m Message) {
 		n.dir.ObserveCost(m.From, float64(m.Cost))
 	}
 	uuid := m.Job.UUID
-	if pend, ok := n.pending[uuid]; ok {
+	if r := n.rounds[uuid]; r != nil && r.stage != stageCommit {
 		n.emitSpan(TraceEvent{
 			Kind: SpanOfferRecv, UUID: uuid, Parent: m.Span,
 			Peer: m.From, Cost: m.Cost,
 		})
-		if pend.directed {
-			pend.directedOffers++
+		if r.stage == stageDirected {
+			r.directedOffers++
 		}
-		if !pend.hasBest || m.Cost < pend.bestCost {
-			pend.best, pend.bestCost, pend.hasBest = m.From, m.Cost, true
+		if !r.hasBest || m.Cost < r.bestCost {
+			r.best, r.bestCost, r.hasBest = m.From, m.Cost, true
 		}
-		pend.offers = append(pend.offers, offer{node: m.From, cost: m.Cost})
+		r.offers = append(r.offers, offer{node: m.From, cost: m.Cost})
 		return
 	}
 	n.handleRescheduleOffer(m)
@@ -1217,19 +1034,21 @@ func (n *Node) handleNotify(m Message) {
 		n.closeResend(m.Job.UUID, resendAssign)
 		// Likewise any still-open optimistic-commit round: a grant racing
 		// this completion would place (and re-run) a copy of a finished job.
-		n.closeCommitOnComplete(m.Job.UUID)
+		if r := n.commitRound(m.Job.UUID); r != nil {
+			n.abandonRound(r)
+		}
 		// It also supersedes any copy of the job this node still holds
 		// itself — a watchdog resubmission that self-assigned races the
 		// original assignee's recovery exactly like a remote replacement.
 		n.dropLocalCopy(m.Job.UUID, m.Span, m.From)
 	}
 	if m.Notify == NotifyQueued {
-		if pc, copen := n.commits[m.Job.UUID]; copen && pc.target == m.From {
+		if r := n.commitRound(m.Job.UUID); r != nil && r.target == m.From {
 			// The enqueue NOTIFY from the commit target outran (or replaced
 			// a lost) grant ASSIGN_ACK: the enqueue is proof the commit was
 			// granted. Close the round before the tracked-state update below
 			// so the retry timer cannot place a second copy.
-			n.commitGranted(pc, m)
+			n.commitGranted(r, m)
 		}
 	}
 	t, ok := n.tracked[m.Job.UUID]
@@ -1239,22 +1058,15 @@ func (n *Node) handleNotify(m Message) {
 	switch m.Notify {
 	case NotifyQueued:
 		if t.resub > 0 {
-			if pend, open := n.pending[m.Job.UUID]; open {
+			if r, open := n.rounds[m.Job.UUID]; open {
 				// A pre-resubmission copy resurfaced (typically a crashed
 				// assignee whose recovery re-enqueued the job) while the
-				// replacement round is still collecting offers: keep the
-				// live copy, abandon the round — letting it assign would
-				// create a second live copy.
-				if pend.timer != nil {
-					pend.timer()
-				}
-				delete(n.pending, m.Job.UUID)
-			} else if pc, copen := n.commits[m.Job.UUID]; copen && pc.target != m.From {
-				// Same race on the shared-state arm: a replacement commit is
-				// in flight while the pre-resubmission copy resurfaces. Keep
-				// the live copy; abandon the round and chase the
-				// possibly-granted commit with a CANCEL.
-				n.closeCommitOnComplete(m.Job.UUID)
+				// replacement round is still open — collecting offers, or
+				// committing to another provider (a NOTIFY from the commit
+				// target itself was the grant above): keep the live copy,
+				// abandon the round — letting it place would create a
+				// second live copy.
+				n.abandonRound(r)
 			} else if n.redundantCopy(m.Job.UUID, m.From) {
 				// The replacement copy is already live elsewhere: revoke
 				// this stale one before it runs.
@@ -1278,11 +1090,8 @@ func (n *Node) handleNotify(m Message) {
 		// A completion racing a watchdog resubmission: abandon the
 		// still-open rediscovery round and revoke the stale copy before it
 		// can run a second time.
-		if pend, live := n.pending[m.Job.UUID]; live {
-			if pend.timer != nil {
-				pend.timer()
-			}
-			delete(n.pending, m.Job.UUID)
+		if r, open := n.rounds[m.Job.UUID]; open {
+			n.abandonRound(r)
 		}
 		if t.resub > 0 && t.assignee != 0 && t.assignee != n.id && t.assignee != m.From {
 			cspan := n.emitSpan(TraceEvent{Kind: SpanCancel, UUID: m.Job.UUID, Parent: m.Span, Peer: t.assignee})
@@ -1321,18 +1130,11 @@ func (n *Node) redundantCopy(uuid job.UUID, from overlay.NodeID) bool {
 func (n *Node) handleResurfaced(m Message) {
 	uuid := m.Job.UUID
 	t, tracked := n.tracked[uuid]
-	if pend, open := n.pending[uuid]; tracked && open {
-		// The watchdog's replacement round is still collecting offers:
-		// keep the resurfaced copy, abandon the round.
-		if pend.timer != nil {
-			pend.timer()
-		}
-		delete(n.pending, uuid)
-	} else if pc, copen := n.commits[uuid]; tracked && copen && pc.target != m.From {
-		// A replacement commit round is in flight: keep the resurfaced
-		// copy, abandon the round, and chase the possibly-granted commit
-		// with a CANCEL.
-		n.closeCommitOnComplete(uuid)
+	if r, open := n.rounds[uuid]; tracked && open && (r.stage != stageCommit || r.target != m.From) {
+		// The watchdog's replacement round is still open — collecting
+		// offers, or committing to another provider: keep the resurfaced
+		// copy, abandon the round.
+		n.abandonRound(r)
 	} else if !tracked || n.redundantCopy(uuid, m.From) {
 		cspan := n.emitSpan(TraceEvent{Kind: SpanCancel, UUID: uuid, Parent: m.Span, Peer: m.From})
 		n.env.Send(m.From, Message{Type: MsgCancel, From: n.id, Job: m.Job, Span: cspan})

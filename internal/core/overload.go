@@ -121,7 +121,7 @@ func (n *Node) handleBusy(m Message) {
 		n.enqueueLocal(profile, initiator, sh)
 		return
 	}
-	if n.discoveryOpen(uuid) {
+	if _, open := n.rounds[uuid]; open {
 		return // a re-discovery for this job is already running
 	}
 	n.obs.ShedRedispatched(n.env.Now(), n.id, uuid, true)

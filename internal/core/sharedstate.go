@@ -20,51 +20,16 @@ import (
 // folds the correction into its view and retries the next-best candidate
 // after a bounded backoff; after K failed commits (conflicts or timeouts)
 // it abandons the view and escalates to the classic ARiA REQUEST flood, so
-// completion semantics never depend on view quality.
+// completion semantics never depend on view quality. The commit is the first
+// stage of the discovery round (round.go).
 
-// pendingCommit is an initiator's bookkeeping for one optimistic-commit
-// round.
-type pendingCommit struct {
-	profile job.Profile
-	target  overlay.NodeID
-	// attempts counts commits sent this round, from 1; the round falls
-	// back to the flood when it reaches SharedStateRetries failures.
-	attempts int
-	// excluded lists providers already tried this round: a conflicted or
-	// silent provider is not re-picked even if the view still likes it.
-	excluded map[overlay.NodeID]bool
-	// span is the current commit span; conflicts and the grant parent to
-	// it. timer is the in-flight commit timeout or, between attempts, the
-	// retry backoff.
-	span  uint64
-	timer Cancel
-	// inflight is true while a COMMIT is outstanding and unresolved. A
-	// commit timeout resolves the attempt unilaterally, so a late CONFLICT
-	// from the abandoned target must not resolve it a second time — but a
-	// late grant still closes the round (the provider really holds the
-	// job), which is why the round outlives the attempt.
-	inflight bool
-}
-
-// resolveCommitView releases the view's in-flight reservation for the
-// current commit attempt, exactly once per attempt. Caller holds the lock.
-func (n *Node) resolveCommitView(pc *pendingCommit) {
-	if pc.inflight {
-		pc.inflight = false
-		n.view.CommitResolved(pc.target)
+// commitRound returns uuid's open round if it is at the commit stage, nil
+// otherwise. Caller holds the lock.
+func (n *Node) commitRound(uuid job.UUID) *round {
+	if r := n.rounds[uuid]; r != nil && r.stage == stageCommit {
+		return r
 	}
-}
-
-// discoveryOpen reports whether any discovery round — flood, directed, or
-// optimistic commit — is in flight for uuid. Round-opening paths consult it
-// so two concurrent rounds can never place two live copies. Caller holds
-// the lock.
-func (n *Node) discoveryOpen(uuid job.UUID) bool {
-	if _, ok := n.pending[uuid]; ok {
-		return true
-	}
-	_, ok := n.commits[uuid]
-	return ok
+	return nil
 }
 
 // pickCommitTarget selects the best viewed provider for p that is not
@@ -81,39 +46,36 @@ func (n *Node) pickCommitTarget(p job.Profile, excluded map[overlay.NodeID]bool)
 // view falls through to directed discovery or the flood, whose ACCEPT
 // traffic warms it. Caller holds the lock.
 func (n *Node) startCommit(p job.Profile, parent uint64) bool {
-	if _, dup := n.commits[p.UUID]; dup {
-		return true // round already open; never start a second
-	}
 	d, ok := n.pickCommitTarget(p, nil)
 	if !ok {
 		return false
 	}
-	pc := &pendingCommit{profile: p, excluded: make(map[overlay.NodeID]bool)}
-	n.commits[p.UUID] = pc
-	n.dispatchCommit(pc, d, parent)
+	r := &round{stage: stageCommit, profile: p, excluded: make(map[overlay.NodeID]bool)}
+	n.rounds[p.UUID] = r
+	n.dispatchCommit(r, d, parent)
 	return true
 }
 
 // dispatchCommit sends one COMMIT to the picked provider and arms the
 // commit timeout. The view reserves the believed slot until the commit
 // resolves. Caller holds the lock.
-func (n *Node) dispatchCommit(pc *pendingCommit, d directory.Digest, parent uint64) {
-	pc.attempts++
-	pc.target = d.Node
-	pc.excluded[d.Node] = true
-	pc.inflight = true
+func (n *Node) dispatchCommit(r *round, d directory.Digest, parent uint64) {
+	r.attempts++
+	r.target = d.Node
+	r.excluded[d.Node] = true
+	r.inflight = true
 	n.view.CommitStarted(d.Node)
-	uuid := pc.profile.UUID
-	pc.span = n.emitSpan(TraceEvent{
+	uuid := r.profile.UUID
+	r.span = n.emitSpan(TraceEvent{
 		Kind: SpanCommit, UUID: uuid, Parent: parent,
-		Peer: d.Node, Cost: sched.Cost(d.Load), Attempt: pc.attempts,
+		Peer: d.Node, Cost: sched.Cost(d.Load), Attempt: r.attempts,
 	})
-	n.obs.CommitSent(n.env.Now(), n.id, uuid, d.Node, pc.attempts)
+	n.obs.CommitSent(n.env.Now(), n.id, uuid, d.Node, r.attempts)
 	n.env.Send(d.Node, Message{
-		Type: MsgCommit, From: n.id, Job: pc.profile,
-		Inc: d.Incarnation, Span: pc.span,
+		Type: MsgCommit, From: n.id, Job: r.profile,
+		Inc: d.Incarnation, Span: r.span,
 	})
-	pc.timer = n.env.Schedule(n.cfg.CommitTimeout, func() { n.commitTimeoutFire(uuid) })
+	r.timer = n.env.Schedule(n.cfg.CommitTimeout, func() { n.commitTimeoutFire(uuid) })
 }
 
 // handleCommit validates an optimistic commit against this provider's
@@ -175,17 +137,13 @@ func (n *Node) handleCommit(m Message) {
 // correction into the view (the CONFLICT carries the provider's honest
 // digest) and retry or fall back. Caller holds the lock.
 func (n *Node) handleConflict(m Message) {
-	pc, ok := n.commits[m.Job.UUID]
-	if !ok || !pc.inflight || m.From != pc.target {
+	r := n.commitRound(m.Job.UUID)
+	if r == nil || !r.inflight || m.From != r.target {
 		// No open round, a late conflict from a superseded target, or a
 		// conflict for an attempt the timeout already resolved.
 		return
 	}
-	if pc.timer != nil {
-		pc.timer()
-		pc.timer = nil
-	}
-	n.resolveCommitView(pc)
+	n.disarm(r)
 	switch m.Conflict {
 	case ConflictStale:
 		// Structurally wrong entry: evict it, then admit the honest digest
@@ -198,7 +156,7 @@ func (n *Node) handleConflict(m Message) {
 		n.learnDigests(m)
 		n.view.ObserveBusy(m.From)
 	}
-	n.failCommit(pc, m.Conflict.String(), m.Span)
+	n.failCommit(r, m.Conflict.String(), m.Span)
 }
 
 // commitTimeoutFire treats a silent provider as a failed commit attempt:
@@ -211,32 +169,32 @@ func (n *Node) commitTimeoutFire(uuid job.UUID) {
 	if !n.alive {
 		return
 	}
-	pc, ok := n.commits[uuid]
-	if !ok {
+	r := n.commitRound(uuid)
+	if r == nil {
 		return
 	}
-	pc.timer = nil
-	n.resolveCommitView(pc)
-	n.view.ObserveUnreachable(pc.target)
+	r.timer = nil // this is the timer firing
+	n.disarm(r)
+	n.view.ObserveUnreachable(r.target)
 	cspan := n.emitSpan(TraceEvent{
-		Kind: SpanConflict, UUID: uuid, Parent: pc.span,
-		Peer: pc.target, Reason: "timeout", Attempt: pc.attempts,
+		Kind: SpanConflict, UUID: uuid, Parent: r.span,
+		Peer: r.target, Reason: "timeout", Attempt: r.attempts,
 	})
-	n.failCommit(pc, "timeout", cspan)
+	n.failCommit(r, "timeout", cspan)
 }
 
 // failCommit closes one failed commit attempt: retry against the refreshed
 // view after a backoff doubling per failure (desynchronizing initiators
 // that conflicted on the same provider), or — at K failures — abandon the
 // view and escalate to the classic flood. Caller holds the lock.
-func (n *Node) failCommit(pc *pendingCommit, reason string, conflictSpan uint64) {
-	uuid := pc.profile.UUID
-	n.obs.CommitConflict(n.env.Now(), n.id, uuid, pc.target, reason, pc.attempts)
-	if pc.attempts >= n.cfg.SharedStateRetries {
-		n.commitFallback(pc, conflictSpan)
+func (n *Node) failCommit(r *round, reason string, conflictSpan uint64) {
+	uuid := r.profile.UUID
+	n.obs.CommitConflict(n.env.Now(), n.id, uuid, r.target, reason, r.attempts)
+	if r.attempts >= n.cfg.SharedStateRetries {
+		n.escalate(r, conflictSpan)
 		return
 	}
-	pc.timer = n.env.Schedule(backoff(n.cfg.CommitBackoff, pc.attempts-1), func() { n.commitRetryFire(uuid, conflictSpan) })
+	r.timer = n.env.Schedule(backoff(n.cfg.CommitBackoff, r.attempts-1), func() { n.commitRetryFire(uuid, conflictSpan) })
 }
 
 // commitRetryFire re-picks from the refreshed view and dispatches the next
@@ -249,31 +207,17 @@ func (n *Node) commitRetryFire(uuid job.UUID, parent uint64) {
 	if !n.alive {
 		return
 	}
-	pc, ok := n.commits[uuid]
-	if !ok {
+	r := n.commitRound(uuid)
+	if r == nil {
 		return
 	}
-	pc.timer = nil
-	d, found := n.pickCommitTarget(pc.profile, pc.excluded)
+	r.timer = nil
+	d, found := n.pickCommitTarget(r.profile, r.excluded)
 	if !found {
-		n.commitFallback(pc, parent)
+		n.escalate(r, parent)
 		return
 	}
-	n.dispatchCommit(pc, d, parent)
-}
-
-// commitFallback abandons the optimistic round and escalates to the
-// classic REQUEST flood with a fresh retry budget — the flood is the
-// discovery the commits tried to avoid, not a retry of one. Caller holds
-// the lock.
-func (n *Node) commitFallback(pc *pendingCommit, parent uint64) {
-	uuid := pc.profile.UUID
-	delete(n.commits, uuid)
-	fb := n.emitSpan(TraceEvent{
-		Kind: SpanCommitFallback, UUID: uuid, Parent: parent, Attempt: pc.attempts,
-	})
-	n.obs.CommitFallback(n.env.Now(), n.id, uuid, pc.attempts)
-	n.startFlood(pc.profile, 0, fb)
+	n.dispatchCommit(r, d, parent)
 }
 
 // commitGranted closes a granted commit: the ASSIGN_ACK from the target is
@@ -282,36 +226,11 @@ func (n *Node) commitFallback(pc *pendingCommit, parent uint64) {
 // arriving after the commit timeout, while the round backs off — still
 // closes the round: the provider holds the job either way. Caller holds
 // the lock.
-func (n *Node) commitGranted(pc *pendingCommit, m Message) {
+func (n *Node) commitGranted(r *round, m Message) {
 	uuid := m.Job.UUID
-	if pc.timer != nil {
-		pc.timer()
-	}
-	delete(n.commits, uuid)
-	n.resolveCommitView(pc)
-	n.view.ObserveGranted(pc.target)
-	n.obs.CommitGranted(n.env.Now(), n.id, uuid, pc.target, pc.attempts)
-	n.obs.JobAssigned(n.env.Now(), uuid, n.id, pc.target, 0, false)
-	n.trackAssignment(pc.profile, pc.target, 0, pc.span)
-}
-
-// closeCommitOnComplete revokes an in-flight commit round for a job this
-// node learned is complete: without it, a grant racing the completion
-// NOTIFY would track (and eventually re-run) a copy of a finished job. A
-// CANCEL chases the possibly-placed copy; a provider that never enqueued
-// it ignores the CANCEL. The cancel span parents to the commit span so
-// every commit attempt's outcome stays in its causal tree. Caller holds
-// the lock.
-func (n *Node) closeCommitOnComplete(uuid job.UUID) {
-	pc, ok := n.commits[uuid]
-	if !ok {
-		return
-	}
-	if pc.timer != nil {
-		pc.timer()
-	}
-	delete(n.commits, uuid)
-	n.resolveCommitView(pc)
-	cspan := n.emitSpan(TraceEvent{Kind: SpanCancel, UUID: uuid, Parent: pc.span, Peer: pc.target})
-	n.env.Send(pc.target, Message{Type: MsgCancel, From: n.id, Job: pc.profile, Span: cspan})
+	n.endRound(r)
+	n.view.ObserveGranted(r.target)
+	n.obs.CommitGranted(n.env.Now(), n.id, uuid, r.target, r.attempts)
+	n.obs.JobAssigned(n.env.Now(), uuid, n.id, r.target, 0, false)
+	n.trackAssignment(r.profile, r.target, 0, r.span)
 }
