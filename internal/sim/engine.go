@@ -126,27 +126,32 @@ func (e *Engine) ScheduleAt(at time.Duration, fn func()) *Timer {
 // ScheduleFrom arranges for fn to run on lane dst after delay, the call
 // originating from lane src (GlobalLane for coordinator context).
 //
-// A lane event that schedules onto another lane emits an arrival: it takes
-// the destination's arrival sequence, and its timer is pooled — recycled
-// once it fires — so ScheduleFrom returns nil for it. Every other event
-// returns a cancellable timer.
+// A lane's own timer (src == dst) is cancellable. A push onto another lane
+// cannot be cancelled: its timer is pooled — recycled once it fires — and
+// ScheduleFrom returns nil for it. Pushed from a lane event it is an
+// arrival and takes the destination's arrival sequence; pushed from outside
+// any lane event (setup, global events) it takes the lane's own sequence.
 func (e *Engine) ScheduleFrom(src, dst Lane, delay time.Duration, fn func()) *Timer {
 	at := e.now + max(delay, 0)
 	if dst == GlobalLane {
 		return e.ScheduleAt(at, fn)
 	}
 	ls := e.lane(dst)
-	// A lane's own timers, and pushes made outside any lane event (setup,
-	// global events), take the lane's own sequence.
-	if src == dst || src == GlobalLane || e.cur == GlobalLane {
+	if src == dst {
 		t := &Timer{at: at, lane: dst, seq: ls.seq, fn: fn}
 		ls.seq++
 		e.heap.push(t)
 		return t
 	}
 	t := e.alloc()
-	*t = Timer{at: at, lane: dst, seq: ls.xseq | seqXFlag, fn: fn, pooled: true}
-	ls.xseq++
+	*t = Timer{at: at, lane: dst, fn: fn, pooled: true}
+	if src == GlobalLane || e.cur == GlobalLane {
+		t.seq = ls.seq
+		ls.seq++
+	} else {
+		t.seq = ls.xseq | seqXFlag
+		ls.xseq++
+	}
 	e.heap.push(t)
 	return nil
 }

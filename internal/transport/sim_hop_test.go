@@ -44,10 +44,10 @@ func hopRing(t testing.TB, n int) *SimCluster {
 // pool is warm, a simulated flood hop — send, traffic hook, latency draw,
 // kernel arrival, HandleMessage, forward — allocates nothing.
 //
-// A wave enters from outside any kernel event, which costs the kernel one
-// unpooled timer (only arrivals a lane event emits are pooled). So the test
-// measures an injection that dead-ends against the same injection starting
-// a wave of several hops; the difference is what the hops cost.
+// A wave enters from outside any kernel event, as every first hop of a
+// scenario submission does. That injection is pooled too, so an injection
+// that dead-ends costs nothing, and neither does one that starts a wave of
+// several hops.
 func TestSimHopAllocationFree(t *testing.T) {
 	const nodes = 8
 	c := hopRing(t, nodes)
@@ -78,6 +78,9 @@ func TestSimHopAllocationFree(t *testing.T) {
 	}
 	deadEnd := testing.AllocsPerRun(200, func() { inject(nodes + 1) })
 	wave := testing.AllocsPerRun(200, func() { inject(1) })
+	if deadEnd != 0 {
+		t.Errorf("an injection from outside any kernel event costs %v allocs, want 0", deadEnd)
+	}
 	if wave != deadEnd {
 		t.Errorf("a %d-hop wave costs %v allocs against %v for its injection alone; want the hops free", perWave, wave, deadEnd)
 	}
