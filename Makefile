@@ -82,10 +82,12 @@ fuzz:
 	$(GO) test ./cmd/ariagate/ -fuzz FuzzParseSpecs -fuzztime 30s
 
 # smoke mirrors the CI trace smokes: one traced repetition each of the
-# self-healing churn and the crash-restart recovery scenarios, with the
-# causal trace checker auditing every protocol invariant.
+# self-healing churn and the crash-restart recovery scenarios, and three
+# iMixed runs the horizon cuts with jobs in flight, with the causal trace
+# checker auditing every protocol invariant.
 smoke:
 	$(GO) run ./cmd/ariasim -scenario iChurnHeal -scale 0.06 -runs 1 -seed 1 -trace
+	$(GO) run ./cmd/ariasim -scenario iMixed -scale 0.15 -runs 3 -trace
 	$(GO) run -race ./cmd/ariasim -scenario iCrashRestart -scale 0.06 -runs 1 -seed 1 -trace
 
 # directed-smoke exercises the gossip-fed directory under churn with the

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"github.com/smartgrid/aria/internal/job"
 	"github.com/smartgrid/aria/internal/metrics"
 	"github.com/smartgrid/aria/internal/trace"
 )
@@ -43,6 +44,26 @@ func RunTraced(c Config, run int) (*metrics.Result, trace.Report, error) {
 	}
 	d.ScheduleSubmissions(ARiASubmit)
 	res := d.Finish()
-	rep := trace.Check(d.Trace.Events(), c.TraceOpts())
+	opts := c.TraceOpts()
+	opts.InFlight = d.inFlight()
+	rep := trace.Check(d.Trace.Events(), opts)
 	return res, rep, nil
+}
+
+// inFlight collects the jobs the live nodes still hold queued or running:
+// the horizon cut them, the protocol did not lose them.
+func (d *Deployment) inFlight() map[job.UUID]bool {
+	held := make(map[job.UUID]bool)
+	for _, n := range d.Cluster.Nodes() {
+		if !n.Alive() {
+			continue
+		}
+		for _, u := range n.QueuedJobs() {
+			held[u] = true
+		}
+		if u, ok := n.Running(); ok {
+			held[u] = true
+		}
+	}
+	return held
 }

@@ -150,3 +150,19 @@ func TestTraceCollectorWiredOnDemand(t *testing.T) {
 		t.Fatal("ByUUID lost the job's events")
 	}
 }
+
+// TestTracedRunHorizonCut: at this scale and seed the horizon ends while
+// two iMixed jobs are still queued or running on a live node. The audit
+// must read them as in flight, not as lost.
+func TestTracedRunHorizonCut(t *testing.T) {
+	res, rep, err := RunTraced(Baseline().Scaled(0.15), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Completed+res.Failed >= res.Submitted {
+		t.Fatalf("staging failed: %d of %d jobs finished, want some cut by the horizon", res.Completed+res.Failed, res.Submitted)
+	}
+	if !rep.OK() {
+		t.Fatalf("horizon-cut jobs reported as violations:\n%s", rep)
+	}
+}

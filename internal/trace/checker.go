@@ -28,6 +28,11 @@ type Opts struct {
 	// live traces are cut off mid-flight.
 	AllowIncomplete bool
 
+	// InFlight names the jobs still queued or running where the trace was
+	// cut (a simulation horizon, a live capture). The completeness audit
+	// skips exactly these: their start or completion lies beyond the cut.
+	InFlight map[job.UUID]bool
+
 	// AllowLoss tolerates assignment spans with no observable follow-up:
 	// without the AssignAck handshake a lossy link can swallow an ASSIGN
 	// leaving no child event. With the handshake on, leave this false even
@@ -115,7 +120,7 @@ type nodeWave struct {
 //     fallback (relaxed by AllowLoss).
 //   - exactly-one-start / exactly-one-complete: each submitted job starts
 //     and completes exactly once (relaxed by AllowDuplicateStarts /
-//     AllowIncomplete).
+//     AllowIncomplete; a job in InFlight may still be waiting to).
 //   - dangling-parent: every parent reference resolves to an emitted span.
 //   - reflood-ttl: watchdog re-floods may escalate the TTL, but never beyond
 //     RequestTTL + attempt·ReFloodTTLStep.
@@ -649,7 +654,7 @@ func Check(events []core.TraceEvent, opts Opts) Report {
 		if s.completes > 0 && s.starts == 0 {
 			jv("exactly-one-start", "completed without a traced start")
 		}
-		if !opts.AllowIncomplete && s.submits > 0 {
+		if !opts.AllowIncomplete && s.submits > 0 && !opts.InFlight[u] {
 			if s.starts == 0 && s.fails == 0 {
 				jv("exactly-one-start", "submitted but never started or failed")
 			}

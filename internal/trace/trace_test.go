@@ -353,3 +353,38 @@ func TestCheckMembershipInvariants(t *testing.T) {
 		})
 	}
 }
+
+// TestCheckInFlightCut: a job the horizon cut while queued or running is
+// not lost. Naming it in InFlight silences exactly its completeness codes;
+// naming another job silences nothing, and a job completed twice is still
+// caught.
+func TestCheckInFlightCut(t *testing.T) {
+	cfg := core.DefaultConfig()
+	held := Opts{Protocol: cfg, InFlight: map[job.UUID]bool{testUUID: true}}
+	other := Opts{Protocol: cfg, InFlight: map[job.UUID]bool{"another-job": true}}
+	cases := []struct {
+		name      string
+		invariant string
+		events    []core.TraceEvent
+		clean     bool // with testUUID in flight
+	}{
+		{"queued at the cut", "exactly-one-start", cleanTrace()[:8], true},
+		{"running at the cut", "exactly-one-complete", cleanTrace()[:9], true},
+		{"completed twice", "exactly-one-complete", append(cleanTrace(),
+			core.TraceEvent{Node: 3, Kind: core.SpanComplete, UUID: testUUID, Span: 0x305, Parent: 0x303}), false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := invariantCodes(Check(tc.events, other)); got != tc.invariant {
+				t.Fatalf("another job in flight: fired [%s], want exactly [%s]", got, tc.invariant)
+			}
+			rep := Check(tc.events, held)
+			if tc.clean && !rep.OK() {
+				t.Fatalf("job in flight still reported:\n%s", rep)
+			}
+			if got := invariantCodes(rep); !tc.clean && got != tc.invariant {
+				t.Fatalf("job in flight: fired [%s], want exactly [%s]", got, tc.invariant)
+			}
+		})
+	}
+}
