@@ -13,12 +13,20 @@ import (
 	"github.com/smartgrid/aria/internal/job"
 	"github.com/smartgrid/aria/internal/resource"
 	"github.com/smartgrid/aria/internal/sched"
+	"github.com/smartgrid/aria/internal/trace"
 	"github.com/smartgrid/aria/internal/transport"
 )
 
 // startDaemon stands up a one-node grid with a control server, returning
 // the control address.
 func startDaemon(t *testing.T) string {
+	t.Helper()
+	return startTracedDaemon(t, nil)
+}
+
+// startTracedDaemon is startDaemon serving trace queries from ring when
+// ring is non-nil.
+func startTracedDaemon(t *testing.T, ring *trace.Ring) string {
 	t.Helper()
 	cluster := transport.NewInprocCluster(1, nil)
 	t.Cleanup(cluster.Close)
@@ -28,7 +36,11 @@ func startDaemon(t *testing.T) string {
 	}
 	cfg := core.DefaultConfig()
 	cfg.AcceptTimeout = 50 * time.Millisecond
-	n, err := cluster.AddNode(0, profile, sched.FCFS, cfg, nil, job.ARTModel{Mode: job.DriftNone})
+	var obs core.Observer
+	if ring != nil {
+		obs = ring
+	}
+	n, err := cluster.AddNode(0, profile, sched.FCFS, cfg, obs, job.ARTModel{Mode: job.DriftNone})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,6 +56,9 @@ func startDaemon(t *testing.T) string {
 			t.Error(err)
 		}
 	})
+	if ring != nil {
+		srv.SetTraceSource(ring)
+	}
 	return srv.Addr()
 }
 
@@ -106,5 +121,37 @@ func TestQueueViaCLI(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "running:") {
 		t.Fatalf("queue output wrong: %s", buf.String())
+	}
+}
+
+// TestTraceViaCLI: -trace fails loudly on a daemon with tracing off, prints
+// a submitted job's span tree, and says so when a job left no spans.
+func TestTraceViaCLI(t *testing.T) {
+	const unknown = "aaaaaaaa-bbbb-cccc-dddd-eeeeeeeeeeee"
+	var buf bytes.Buffer
+	if err := run(&buf, []string{"-daemon", startDaemon(t), "-trace", unknown}); err == nil || !strings.Contains(err.Error(), "not enabled") {
+		t.Fatalf("-trace on an untraced daemon: %v", err)
+	}
+
+	addr := startTracedDaemon(t, trace.NewRing(256))
+	buf.Reset()
+	if err := run(&buf, []string{"-daemon", addr, "-ert", "50ms"}); err != nil {
+		t.Fatal(err)
+	}
+	uuid := strings.TrimSpace(strings.TrimPrefix(buf.String(), "submitted "))
+	buf.Reset()
+	if err := run(&buf, []string{"-daemon", addr, "-trace", uuid}); err != nil {
+		t.Fatal(err)
+	}
+	if out := buf.String(); !strings.HasPrefix(out, "job "+uuid+": ") || !strings.Contains(out, "submit") {
+		t.Fatalf("-trace of a submitted job:\n%s", out)
+	}
+
+	buf.Reset()
+	if err := run(&buf, []string{"-daemon", addr, "-trace", unknown}); err != nil {
+		t.Fatal(err)
+	}
+	if want := "node 0 retains no spans for job " + unknown; !strings.Contains(buf.String(), want) {
+		t.Fatalf("-trace of an unknown job: %q, want %q", buf.String(), want)
 	}
 }

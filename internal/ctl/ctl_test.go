@@ -3,6 +3,7 @@ package ctl
 import (
 	"math/rand"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,11 +12,18 @@ import (
 	"github.com/smartgrid/aria/internal/overlay"
 	"github.com/smartgrid/aria/internal/resource"
 	"github.com/smartgrid/aria/internal/sched"
+	"github.com/smartgrid/aria/internal/trace"
 	"github.com/smartgrid/aria/internal/transport"
 )
 
 // testServer stands up a 2-node inproc grid with a control server on node 0.
 func testServer(t *testing.T) (*Server, *transport.InprocCluster) {
+	t.Helper()
+	return observedServer(t, nil)
+}
+
+// observedServer is testServer with obs watching node 0.
+func observedServer(t *testing.T, obs core.Observer) (*Server, *transport.InprocCluster) {
 	t.Helper()
 	cluster := transport.NewInprocCluster(1, nil)
 	t.Cleanup(cluster.Close)
@@ -26,7 +34,7 @@ func testServer(t *testing.T) (*Server, *transport.InprocCluster) {
 	cfg := core.DefaultConfig()
 	cfg.AcceptTimeout = 100 * time.Millisecond
 	art := job.ARTModel{Mode: job.DriftNone}
-	n0, err := cluster.AddNode(0, profile, sched.FCFS, cfg, nil, art)
+	n0, err := cluster.AddNode(0, profile, sched.FCFS, cfg, obs, art)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,5 +243,45 @@ func TestQueueOverControlPlane(t *testing.T) {
 	}
 	if total == 0 {
 		t.Fatal("no jobs visible on either test node's queue endpoint (placement may vary, but node 0 submitted everything)")
+	}
+}
+
+// TestTraceOverControlPlane covers the three answers to a trace query: no
+// trace source armed, an armed ring holding a submitted job's spans, and a
+// UUID the ring never saw.
+func TestTraceOverControlPlane(t *testing.T) {
+	bare, _ := testServer(t)
+	resp, err := Call(bare.Addr(), Request{Op: OpTrace, UUID: "aaaaaaaa-bbbb-cccc-dddd-eeeeeeeeeeee"}, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.OK || !strings.Contains(resp.Error, "not enabled") {
+		t.Fatalf("trace without a source: %+v", resp)
+	}
+
+	ring := trace.NewRing(256)
+	srv, _ := observedServer(t, ring)
+	srv.SetTraceSource(ring)
+	sub, err := Call(srv.Addr(), Request{
+		Op: OpSubmit, Arch: "AMD64", OS: "LINUX",
+		MinMemoryGB: 1, MinDiskGB: 1, ERT: "50ms",
+	}, 5*time.Second)
+	if err != nil || !sub.OK {
+		t.Fatalf("submit: %v %+v", err, sub)
+	}
+	resp, err = Call(srv.Addr(), Request{Op: OpTrace, UUID: sub.UUID}, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resp.OK || resp.UUID != sub.UUID || resp.TraceCount == 0 || !strings.Contains(resp.Tree, "submit") {
+		t.Fatalf("trace of a submitted job: %+v", resp)
+	}
+
+	resp, err = Call(srv.Addr(), Request{Op: OpTrace, UUID: "aaaaaaaa-bbbb-cccc-dddd-eeeeeeeeeeee"}, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resp.OK || resp.TraceCount != 0 || resp.Tree != "" {
+		t.Fatalf("trace of an unknown job: %+v", resp)
 	}
 }
