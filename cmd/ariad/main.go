@@ -74,125 +74,96 @@ func main() {
 	}
 }
 
+// options is ariad's parsed command line.
+type options struct {
+	id                                int
+	listen, control, peers, neighbors string
+	arch, os, policy                  string
+	memGB, diskGB                     int
+	perf, epsilon                     float64
+	seed                              int64
+	events, dataDir, debugAddr        string
+	incarnation                       uint64
+	walFaults                         wal.FaultConfig
+	traceCap                          int
+	proto                             core.Config
+}
+
+// parseFlags reads ariad's flags. The protocol knobs come from the one
+// table in core, bound over the paper's defaults.
+func parseFlags(args []string) (options, error) {
+	fs := flag.NewFlagSet("ariad", flag.ContinueOnError)
+	var o options
+	fs.IntVar(&o.id, "id", 0, "overlay node ID")
+	fs.StringVar(&o.listen, "listen", "127.0.0.1:7400", "protocol listen address")
+	fs.StringVar(&o.control, "control", "127.0.0.1:7500", "control-plane listen address")
+	fs.StringVar(&o.peers, "peers", "", "peer map: id=host:port,id=host:port")
+	fs.StringVar(&o.neighbors, "neighbors", "", "overlay neighbor IDs: 1,2,3")
+	fs.StringVar(&o.arch, "arch", "AMD64", "node architecture")
+	fs.StringVar(&o.os, "os", "LINUX", "node operating system")
+	fs.IntVar(&o.memGB, "mem", 8, "node memory (GB)")
+	fs.IntVar(&o.diskGB, "disk", 8, "node disk (GB)")
+	fs.Float64Var(&o.perf, "perf", 1.5, "performance index [1,2)")
+	fs.StringVar(&o.policy, "policy", "FCFS", "local policy: FCFS, SJF, EDF, Priority, LJF")
+	fs.Int64Var(&o.seed, "seed", time.Now().UnixNano(), "random seed")
+	fs.Float64Var(&o.epsilon, "epsilon", 0.1, "running-time estimate error (0 = exact)")
+	fs.StringVar(&o.events, "events", "", "append job lifecycle events as JSON lines to this file")
+	fs.StringVar(&o.dataDir, "data-dir", "", "durable state directory (write-ahead journal + snapshot; empty = stateless fail-stop)")
+	fs.Uint64Var(&o.incarnation, "incarnation", 0, "this process's incarnation number (orchestrators pass the restart count so remote directory caches can order knowledge across restarts)")
+	fs.StringVar(&o.debugAddr, "debug", "", "serve expvar and pprof on this address (empty = disabled)")
+
+	fs.Float64Var(&o.walFaults.ShortWritePct, "wal-short-write-pct", 0, "fault injection: probability a journal append persists a torn prefix and the daemon dies loudly (exit 3)")
+	fs.Float64Var(&o.walFaults.SyncErrPct, "wal-sync-err-pct", 0, "fault injection: probability a journal fsync fails (exit 3 via the sticky-error hook)")
+	fs.Float64Var(&o.walFaults.SnapshotErrPct, "wal-snapshot-err-pct", 0, "fault injection: probability a snapshot write fails as a unit")
+	fs.Float64Var(&o.walFaults.FlipPct, "wal-flip-pct", 0, "fault injection: probability a boot-time journal/snapshot read has one bit flipped (corrupt stores refuse to boot, exit 4)")
+	fs.Int64Var(&o.walFaults.Seed, "wal-fault-seed", 0, "fault injection: seed for the injected disk-fault sequence")
+	fs.IntVar(&o.traceCap, "trace-buffer", 4096, "retained trace-plane span events for ariactl -trace (0 = tracing off)")
+
+	// Delivery hardening (-assign-ack, -notify) defaults off to keep the
+	// simulator's baseline figures comparable; a live grid whose assignees
+	// can crash wants it on, or a lost ASSIGN (or an assignee SIGKILLed
+	// with queued work) orphans the job forever.
+	o.proto = core.DefaultConfig()
+	proto := core.BindFlags(fs, o.proto)
+	if err := fs.Parse(args); err != nil {
+		return options{}, err
+	}
+	proto.Apply(&o.proto)
+	return o, nil
+}
+
 // run boots the daemon and blocks until stop delivers (tests close a
 // channel; main wires OS signals).
 func run(args []string, stop <-chan os.Signal) error {
-	fs := flag.NewFlagSet("ariad", flag.ContinueOnError)
-	var (
-		id        = fs.Int("id", 0, "overlay node ID")
-		listen    = fs.String("listen", "127.0.0.1:7400", "protocol listen address")
-		control   = fs.String("control", "127.0.0.1:7500", "control-plane listen address")
-		peersStr  = fs.String("peers", "", "peer map: id=host:port,id=host:port")
-		nbrsStr   = fs.String("neighbors", "", "overlay neighbor IDs: 1,2,3")
-		archStr   = fs.String("arch", "AMD64", "node architecture")
-		osStr     = fs.String("os", "LINUX", "node operating system")
-		memGB     = fs.Int("mem", 8, "node memory (GB)")
-		diskGB    = fs.Int("disk", 8, "node disk (GB)")
-		perf      = fs.Float64("perf", 1.5, "performance index [1,2)")
-		policyStr = fs.String("policy", "FCFS", "local policy: FCFS, SJF, EDF, Priority, LJF")
-		seed      = fs.Int64("seed", time.Now().UnixNano(), "random seed")
-		epsilon   = fs.Float64("epsilon", 0.1, "running-time estimate error (0 = exact)")
-		events    = fs.String("events", "", "append job lifecycle events as JSON lines to this file")
-		dataDir   = fs.String("data-dir", "", "durable state directory (write-ahead journal + snapshot; empty = stateless fail-stop)")
-		incarn    = fs.Uint64("incarnation", 0, "this process's incarnation number (orchestrators pass the restart count so remote directory caches can order knowledge across restarts)")
-		debugAddr = fs.String("debug", "", "serve expvar and pprof on this address (empty = disabled)")
-
-		walShortPct  = fs.Float64("wal-short-write-pct", 0, "fault injection: probability a journal append persists a torn prefix and the daemon dies loudly (exit 3)")
-		walSyncPct   = fs.Float64("wal-sync-err-pct", 0, "fault injection: probability a journal fsync fails (exit 3 via the sticky-error hook)")
-		walSnapPct   = fs.Float64("wal-snapshot-err-pct", 0, "fault injection: probability a snapshot write fails as a unit")
-		walFlipPct   = fs.Float64("wal-flip-pct", 0, "fault injection: probability a boot-time journal/snapshot read has one bit flipped (corrupt stores refuse to boot, exit 4)")
-		walFaultSeed = fs.Int64("wal-fault-seed", 0, "fault injection: seed for the injected disk-fault sequence")
-		traceCap     = fs.Int("trace-buffer", 4096, "retained trace-plane span events for ariactl -trace (0 = tracing off)")
-
-		assignAck = fs.Bool("assign-ack", false, "confirm networked ASSIGNs with ACKs: retransmit unacknowledged assignments with backoff, fall back loss-safe when retries exhaust")
-		notify    = fs.Bool("notify", false, "assignees notify initiators on queue/completion; initiators run a failsafe watchdog re-submitting jobs lost to assignee crashes")
-
-		probeInterval  = fs.Duration("probe-interval", 0, "liveness probe interval (0 = membership plane off)")
-		probeTimeout   = fs.Duration("probe-timeout", core.DefaultProbeTimeout, "unanswered-probe window before a neighbor turns suspect")
-		suspectTimeout = fs.Duration("suspect-timeout", core.DefaultSuspectTimeout, "suspicion window before a suspect is declared dead")
-		maxDegree      = fs.Int("max-degree", 0, "overlay-repair degree bound (0 = unbounded)")
-
-		maxQueued  = fs.Int("max-queued", 0, "run-queue depth bound; past it the node sheds REQUESTs and ASSIGNs with BUSY (0 = unbounded)")
-		maxPending = fs.Int("max-pending", 0, "in-flight local submissions bound; past it Submit is rejected (0 = unbounded)")
-		retryCap   = fs.Duration("retry-backoff-cap", 0, "ceiling for the jittered exponential request-retry backoff (0 = fixed backoff)")
-
-		directedCands = fs.Int("directed-candidates", 0, "directed-discovery probes per first round (0 = directory off; requires -probe-interval)")
-		minDirOffers  = fs.Int("min-directed-offers", core.DefaultMinDirectedOffers, "ACCEPTs a directed round needs before the flood fallback fires")
-		dirCapacity   = fs.Int("directory-capacity", core.DefaultDirectoryCapacity, "resource-directory cache entries per node")
-		dirTTL        = fs.Duration("directory-ttl", core.DefaultDirectoryTTL, "staleness bound on cached profile digests")
-		dirGossip     = fs.Int("directory-gossip", core.DefaultDirectoryGossip, "cached digests piggybacked per PING/PONG (plus the sender's own)")
-
-		sharedBound   = fs.Int("shared-state", 0, "provider queue bound arming the shared-state optimistic-commit arm (0 = off; requires -probe-interval)")
-		sharedRetries = fs.Int("shared-state-retries", core.DefaultSharedStateRetries, "failed optimistic commits (K) before the job falls back to the REQUEST flood")
-		commitTimeout = fs.Duration("commit-timeout", core.DefaultCommitTimeout, "wait for a commit's grant or CONFLICT before treating the provider as unreachable")
-		commitBackoff = fs.Duration("commit-backoff", core.DefaultCommitBackoff, "base pause before a commit retry (doubles per attempt, capped at 64x)")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-
-	peers, err := parsePeers(*peersStr)
+	o, err := parseFlags(args)
 	if err != nil {
 		return err
 	}
-	neighbors, err := parseNeighbors(*nbrsStr)
+	peers, err := parsePeers(o.peers)
 	if err != nil {
 		return err
 	}
-	profile, err := buildProfile(*archStr, *osStr, *memGB, *diskGB, *perf)
+	neighbors, err := parseNeighbors(o.neighbors)
 	if err != nil {
 		return err
 	}
-	policy, err := parsePolicy(*policyStr)
+	profile, err := buildProfile(o.arch, o.os, o.memGB, o.diskGB, o.perf)
 	if err != nil {
 		return err
 	}
-	art := job.ARTModel{Mode: job.DriftSymmetric, Epsilon: *epsilon}
-	if *epsilon == 0 {
+	policy, err := parsePolicy(o.policy)
+	if err != nil {
+		return err
+	}
+	art := job.ARTModel{Mode: job.DriftSymmetric, Epsilon: o.epsilon}
+	if o.epsilon == 0 {
 		art = job.ARTModel{Mode: job.DriftNone}
 	}
 
-	protoCfg := core.DefaultConfig()
-	// Delivery hardening: both planes are implemented in core but default
-	// off to keep the simulator's baseline figures comparable; a live grid
-	// whose assignees can crash wants them on, or a lost ASSIGN (or an
-	// assignee SIGKILLed with queued work) orphans the job forever.
-	protoCfg.AssignAck = *assignAck
-	protoCfg.NotifyInitiator = *notify
-	if *probeInterval > 0 {
-		protoCfg.ProbeInterval = *probeInterval
-		protoCfg.ProbeTimeout = *probeTimeout
-		protoCfg.SuspectTimeout = *suspectTimeout
-		protoCfg.MaxDegree = *maxDegree
-	}
-	if *maxQueued > 0 || *maxPending > 0 || *retryCap > 0 {
-		protoCfg.MaxQueuedJobs = *maxQueued
-		protoCfg.MaxPendingSubmits = *maxPending
-		protoCfg.RetryBackoffCap = *retryCap
-	}
-	if *directedCands > 0 {
-		protoCfg.DirectedCandidates = *directedCands
-		protoCfg.MinDirectedOffers = *minDirOffers
-		protoCfg.DirectoryCapacity = *dirCapacity
-		protoCfg.DirectoryTTL = *dirTTL
-		protoCfg.DirectoryGossip = *dirGossip
-	}
-	if *sharedBound > 0 {
-		protoCfg.SharedStateBound = *sharedBound
-		protoCfg.SharedStateRetries = *sharedRetries
-		protoCfg.CommitTimeout = *commitTimeout
-		protoCfg.CommitBackoff = *commitBackoff
-		// The cluster-state view rides the directory cache, so arm it even
-		// when directed probes are off (same knobs as -directed-candidates).
-		protoCfg.DirectoryCapacity = *dirCapacity
-		protoCfg.DirectoryTTL = *dirTTL
-		protoCfg.DirectoryGossip = *dirGossip
-	}
-
-	logger := log.New(os.Stdout, fmt.Sprintf("ariad[%d] ", *id), log.Ltime|log.Lmicroseconds)
-	obs := daemonObservers(logger, protoCfg)
-	if *events != "" {
-		f, err := os.OpenFile(*events, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	logger := log.New(os.Stdout, fmt.Sprintf("ariad[%d] ", o.id), log.Ltime|log.Lmicroseconds)
+	obs := daemonObservers(logger, o.proto)
+	if o.events != "" {
+		f, err := os.OpenFile(o.events, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return fmt.Errorf("open event log: %w", err)
 		}
@@ -213,8 +184,8 @@ func run(args []string, stop <-chan os.Signal) error {
 	// Bounded span retention: the ring keeps the freshest trace-plane
 	// events for ariactl -trace and lifetime per-kind counters for expvar.
 	var ring *trace.Ring
-	if *traceCap > 0 {
-		ring = trace.NewRing(*traceCap)
+	if o.traceCap > 0 {
+		ring = trace.NewRing(o.traceCap)
 		obs = eventlog.Tee{obs, ring}
 	}
 	debugRing.Store(ring)
@@ -222,12 +193,12 @@ func run(args []string, stop <-chan os.Signal) error {
 	debugWALFaults.Store(&faultStoreRef{nil})       // ditto for fault counters
 
 	node, err := transport.ListenTCP(transport.TCPConfig{
-		ID:        overlay.NodeID(*id),
-		Listen:    *listen,
+		ID:        overlay.NodeID(o.id),
+		Listen:    o.listen,
 		Peers:     peers,
 		Neighbors: neighbors,
-		Seed:      *seed,
-	}, profile, policy, protoCfg, obs, art)
+		Seed:      o.seed,
+	}, profile, policy, o.proto, obs, art)
 	if err != nil {
 		return err
 	}
@@ -240,8 +211,8 @@ func run(args []string, stop <-chan os.Signal) error {
 	// previous process left behind before the node starts taking traffic. A
 	// clean prior shutdown recovers from the snapshot alone (zero replay).
 	var journal *wal.Journal
-	if *dataDir != "" {
-		fileStore, err := wal.OpenFileStore(*dataDir)
+	if o.dataDir != "" {
+		fileStore, err := wal.OpenFileStore(o.dataDir)
 		if err != nil {
 			return fmt.Errorf("open data dir: %w", err)
 		}
@@ -251,19 +222,13 @@ func run(args []string, stop <-chan os.Signal) error {
 			}
 		}()
 		var store wal.Store = fileStore
-		faultCfg := wal.FaultConfig{
-			ShortWritePct:  *walShortPct,
-			SyncErrPct:     *walSyncPct,
-			SnapshotErrPct: *walSnapPct,
-			FlipPct:        *walFlipPct,
-			Seed:           *walFaultSeed,
-		}
-		if faultCfg.Active() {
-			faulty := wal.NewFaultStore(fileStore, faultCfg)
+		if o.walFaults.Active() {
+			faulty := wal.NewFaultStore(fileStore, o.walFaults)
 			store = faulty
 			debugWALFaults.Store(&faultStoreRef{faulty})
+			f := o.walFaults
 			logger.Printf("WAL fault injection armed (short %.3g, sync %.3g, snapshot %.3g, flip %.3g, seed %d)",
-				*walShortPct, *walSyncPct, *walSnapPct, *walFlipPct, *walFaultSeed)
+				f.ShortWritePct, f.SyncErrPct, f.SnapshotErrPct, f.FlipPct, f.Seed)
 		}
 		journal = wal.New(store, wal.Options{
 			SyncEveryAppend: true,
@@ -280,31 +245,31 @@ func run(args []string, stop <-chan os.Signal) error {
 		stats, err := node.Node().Recover()
 		if err != nil {
 			if errors.Is(err, wal.ErrCorrupt) {
-				return exitCodeError{exitWALCorrupt, fmt.Errorf("recover from %s: %w", *dataDir, err)}
+				return exitCodeError{exitWALCorrupt, fmt.Errorf("recover from %s: %w", o.dataDir, err)}
 			}
-			return fmt.Errorf("recover from %s: %w", *dataDir, err)
+			return fmt.Errorf("recover from %s: %w", o.dataDir, err)
 		}
 		debugRecovery.Store(&stats)
 		logger.Printf("recovered %d job entries from %s (%d replay records, snapshot age %v, clean=%v)",
-			stats.JobsRecovered, *dataDir, stats.ReplayRecords, stats.SnapshotAge.Round(time.Millisecond), stats.Clean)
+			stats.JobsRecovered, o.dataDir, stats.ReplayRecords, stats.SnapshotAge.Round(time.Millisecond), stats.Clean)
 	}
 
-	if *incarn > 0 {
-		node.Node().SetIncarnation(*incarn)
+	if o.incarnation > 0 {
+		node.Node().SetIncarnation(o.incarnation)
 	}
-	debugIncarnation.Store(*incarn)
+	debugIncarnation.Store(o.incarnation)
 
 	node.Node().Start()
 	logger.Printf("protocol on %s, profile %s, policy %s", node.Addr(), profile, policy)
 
-	ctlLn, err := net.Listen("tcp", *control)
+	ctlLn, err := net.Listen("tcp", o.control)
 	if err != nil {
 		return fmt.Errorf("control listener: %w", err)
 	}
 	start := time.Now()
 	srv := ctl.NewServer(ctlLn, node.Node(), func() time.Duration {
 		return time.Since(start)
-	}, rand.New(rand.NewSource(*seed+1)))
+	}, rand.New(rand.NewSource(o.seed+1)))
 	defer func() {
 		if cerr := srv.Close(); cerr != nil {
 			logger.Printf("control close: %v", cerr)
@@ -315,9 +280,9 @@ func run(args []string, stop <-chan os.Signal) error {
 		srv.SetTraceSource(ring)
 	}
 
-	if *debugAddr != "" {
+	if o.debugAddr != "" {
 		publishDebugVars()
-		dln, err := net.Listen("tcp", *debugAddr)
+		dln, err := net.Listen("tcp", o.debugAddr)
 		if err != nil {
 			return fmt.Errorf("debug listener: %w", err)
 		}
@@ -339,7 +304,7 @@ func run(args []string, stop <-chan os.Signal) error {
 		} else if err := journal.Sync(); err != nil {
 			logger.Printf("journal sync: %v", err)
 		} else {
-			logger.Printf("state checkpointed to %s", *dataDir)
+			logger.Printf("state checkpointed to %s", o.dataDir)
 		}
 	}
 	return nil

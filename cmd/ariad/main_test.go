@@ -8,9 +8,10 @@ import (
 	"strings"
 	"time"
 
-	"github.com/smartgrid/aria/internal/ctl"
 	"testing"
 
+	"github.com/smartgrid/aria/internal/core"
+	"github.com/smartgrid/aria/internal/ctl"
 	"github.com/smartgrid/aria/internal/overlay"
 	"github.com/smartgrid/aria/internal/resource"
 	"github.com/smartgrid/aria/internal/sched"
@@ -98,6 +99,80 @@ func TestParsePolicy(t *testing.T) {
 	}
 	if _, err := parsePolicy("fifo"); err == nil {
 		t.Fatal("accepted unknown policy")
+	}
+}
+
+// TestParseFlagsProtocolConfig pins the protocol Config that ariad's
+// command lines produce: no flags, the end-to-end test's delivery
+// hardening, ariasoak's fully armed daemon, and both directory-backed
+// switches with knobs given before and after them. An explicit zero
+// (-directory-gossip 0, -max-degree 0) stays zero after arming.
+func TestParseFlagsProtocolConfig(t *testing.T) {
+	grid := []string{"-id", "0", "-peers", "1=127.0.0.1:7401", "-neighbors", "1"}
+	paper := core.DefaultConfig()
+
+	hardened := paper
+	hardened.AssignAck = true
+	hardened.NotifyInitiator = true
+
+	soak := hardened
+	soak.ProbeInterval = time.Second
+	soak.ProbeTimeout = 800 * time.Millisecond
+	soak.SuspectTimeout = 6 * time.Second
+	soak.MaxDegree = 6
+	soak.DirectedCandidates = 2
+	soak.MinDirectedOffers = 1
+	soak.DirectoryCapacity = 256
+	soak.DirectoryTTL = 20 * time.Second
+	soak.DirectoryGossip = 3
+	soak.MaxQueuedJobs = 64
+	soak.MaxPendingSubmits = 256
+	soak.RetryBackoffCap = time.Minute
+
+	directed := paper
+	directed.ProbeInterval = 2 * time.Second
+	directed.ProbeTimeout = 500 * time.Millisecond
+	directed.SuspectTimeout = 2 * time.Second
+	directed.DirectedCandidates = 2
+	directed.MinDirectedOffers = 1
+	directed.DirectoryCapacity = 256
+	directed.DirectoryTTL = 15 * time.Minute
+
+	shared := directed
+	shared.DirectedCandidates = 0
+	shared.MinDirectedOffers = 0
+	shared.SharedStateBound = 4
+	shared.SharedStateRetries = 3
+	shared.CommitTimeout = 2 * time.Second
+	shared.CommitBackoff = 500 * time.Millisecond
+
+	membership := []string{"-probe-interval", "2s", "-probe-timeout", "500ms", "-suspect-timeout", "2s"}
+	tests := []struct {
+		name string
+		args []string
+		want core.Config
+	}{
+		{"empty", nil, paper},
+		{"end-to-end", []string{"-perf", "1.5", "-epsilon", "0", "-seed", "100", "-assign-ack", "-notify"}, hardened},
+		{"soak", []string{
+			"-assign-ack", "-notify",
+			"-probe-interval", "1s", "-probe-timeout", "800ms", "-suspect-timeout", "6s", "-max-degree", "6",
+			"-directed-candidates", "2", "-directory-ttl", "20s",
+			"-max-queued", "64", "-max-pending", "256", "-retry-backoff-cap", "60s",
+		}, soak},
+		{"knobs before the switch", append([]string{"-directory-gossip", "0", "-max-degree", "0", "-directed-candidates", "2"}, membership...), directed},
+		{"shared state", append(membership, "-shared-state", "4", "-directory-gossip", "0", "-max-degree", "0"), shared},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			o, err := parseFlags(append(append([]string{}, grid...), tt.args...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if o.proto != tt.want {
+				t.Fatalf("config\n got %+v\nwant %+v", o.proto, tt.want)
+			}
+		})
 	}
 }
 

@@ -8,6 +8,8 @@
 //	ariasim -scenario Mixed -scale 0.1 -tsv
 //	ariasim -scenario Mixed -baseline centralized
 //	ariasim -scenario iMixed -scale 0.1 -trace
+//	ariasim -scenario iMixed -scale 0.1 -directed-candidates 3
+//	ariasim -scenario iMixed -scale 0.1 -sweep inform-interval=1m,5m,30m
 package main
 
 import (
@@ -26,6 +28,7 @@ import (
 	"github.com/smartgrid/aria/internal/scenario"
 	"github.com/smartgrid/aria/internal/stats"
 	"github.com/smartgrid/aria/internal/swf"
+	"github.com/smartgrid/aria/internal/trace"
 )
 
 func main() {
@@ -51,13 +54,11 @@ func run(w io.Writer, args []string) error {
 		swfScale  = fs.Float64("swf-timescale", 1.0, "compress (<1) or stretch (>1) trace submission times")
 		dotPath   = fs.String("dot", "", "write the scenario's overlay as Graphviz DOT to this file and exit")
 		traced    = fs.Bool("trace", false, "arm the causal trace plane and audit protocol invariants after each run")
-
-		directedCands = fs.Int("directed-candidates", -1, "override DirectedCandidates (0 = directory off, -1 = scenario default)")
-		minDirOffers  = fs.Int("min-directed-offers", 0, "override MinDirectedOffers (0 = scenario default)")
-		dirCapacity   = fs.Int("directory-capacity", 0, "override DirectoryCapacity (0 = scenario default)")
-		dirTTL        = fs.Duration("directory-ttl", 0, "override DirectoryTTL (0 = scenario default)")
-		dirGossip     = fs.Int("directory-gossip", -1, "override DirectoryGossip (-1 = scenario default)")
+		sweep     = fs.String("sweep", "", "run once per value of one protocol flag, name=v1,v2,… (e.g. threshold=1m,15m), and print a row per value")
 	)
+	// Every protocol flag in core's table; only those given on the command
+	// line override the scenario.
+	proto := core.BindFlags(fs, core.DefaultConfig())
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -78,44 +79,7 @@ func run(w io.Writer, args []string) error {
 	if *seed != 0 {
 		cfg.Seed = *seed
 	}
-	// Directory knob overrides. Turning the directory on over a scenario
-	// that lacks its prerequisites arms the membership plane and the
-	// remaining directory defaults, so `-directed-candidates 3` works on
-	// any catalog entry.
-	if *directedCands >= 0 {
-		cfg.Protocol.DirectedCandidates = *directedCands
-		if *directedCands > 0 {
-			if cfg.Protocol.ProbeInterval == 0 {
-				cfg.Protocol.ProbeInterval = core.DefaultProbeInterval
-				cfg.Protocol.ProbeTimeout = core.DefaultProbeTimeout
-				cfg.Protocol.SuspectTimeout = core.DefaultSuspectTimeout
-			}
-			if cfg.Protocol.MinDirectedOffers == 0 {
-				cfg.Protocol.MinDirectedOffers = core.DefaultMinDirectedOffers
-			}
-			if cfg.Protocol.DirectoryCapacity == 0 {
-				cfg.Protocol.DirectoryCapacity = core.DefaultDirectoryCapacity
-			}
-			if cfg.Protocol.DirectoryTTL == 0 {
-				cfg.Protocol.DirectoryTTL = core.DefaultDirectoryTTL
-			}
-			if cfg.Protocol.DirectoryGossip == 0 {
-				cfg.Protocol.DirectoryGossip = core.DefaultDirectoryGossip
-			}
-		}
-	}
-	if *minDirOffers > 0 {
-		cfg.Protocol.MinDirectedOffers = *minDirOffers
-	}
-	if *dirCapacity > 0 {
-		cfg.Protocol.DirectoryCapacity = *dirCapacity
-	}
-	if *dirTTL > 0 {
-		cfg.Protocol.DirectoryTTL = *dirTTL
-	}
-	if *dirGossip >= 0 {
-		cfg.Protocol.DirectoryGossip = *dirGossip
-	}
+	proto.Apply(&cfg.Protocol)
 
 	if *dotPath != "" {
 		d, err := scenario.Prepare(cfg, 0)
@@ -135,6 +99,13 @@ func run(w io.Writer, args []string) error {
 		}
 		fmt.Fprintf(w, "wrote %d-node overlay to %s\n", d.Cluster.Graph().NumNodes(), *dotPath)
 		return nil
+	}
+
+	if *sweep != "" {
+		if *baseKind != "" || *swfPath != "" {
+			return fmt.Errorf("-sweep excludes -baseline and -swf")
+		}
+		return runSweep(w, fs, cfg, *sweep, *runs, *traced)
 	}
 
 	if *swfPath != "" {
@@ -198,31 +169,119 @@ func run(w io.Writer, args []string) error {
 // run's metrics followed by its invariant-check report (span counts per kind
 // and any violations).
 func runTraced(w io.Writer, cfg scenario.Config, runs int, tsv, series bool) error {
-	var results []*metrics.Result
-	violations := 0
-	for run := 0; run < runs; run++ {
-		res, rep, err := scenario.RunTraced(cfg, run)
-		if err != nil {
-			return err
-		}
-		results = append(results, res)
-		violations += len(rep.Violations)
-		if tsv {
-			continue
-		}
-		printResult(w, run, res, series)
-		fmt.Fprintf(w, "  %s\n", strings.ReplaceAll(rep.String(), "\n", "\n  "))
+	results, reps, err := traceRuns(cfg, runs)
+	if err != nil {
+		return err
 	}
 	if tsv {
 		return printTSV(w, results)
 	}
+	for run, res := range results {
+		printResult(w, run, res, series)
+		fmt.Fprintf(w, "  %s\n", strings.ReplaceAll(reps[run].String(), "\n", "\n  "))
+	}
 	if len(results) > 1 {
 		printAggregate(w, metrics.NewAggregate(results))
 	}
-	if violations > 0 {
-		return fmt.Errorf("%d protocol invariant violation(s) across %d run(s)", violations, runs)
+	return violationsErr(reps)
+}
+
+// traceRuns runs the scenario runs times with the trace plane armed.
+func traceRuns(cfg scenario.Config, runs int) ([]*metrics.Result, []trace.Report, error) {
+	results := make([]*metrics.Result, runs)
+	reps := make([]trace.Report, runs)
+	for run := range runs {
+		var err error
+		if results[run], reps[run], err = scenario.RunTraced(cfg, run); err != nil {
+			return nil, nil, err
+		}
+	}
+	return results, reps, nil
+}
+
+func violations(reps []trace.Report) int {
+	n := 0
+	for _, rep := range reps {
+		n += len(rep.Violations)
+	}
+	return n
+}
+
+// violationsErr fails a traced command whose audits found violations.
+func violationsErr(reps []trace.Report) error {
+	if n := violations(reps); n > 0 {
+		return fmt.Errorf("%d protocol invariant violation(s) across %d run(s)", n, len(reps))
 	}
 	return nil
+}
+
+// runSweep runs the scenario at each value of one protocol flag, given as
+// name=v1,v2,…, and prints one row of completion, waiting and traffic per
+// value: the paper's Fig. 8 sensitivity analysis, for any knob. A value
+// that switches a plane on arms it as the flag would. Swept values share
+// the base scenario's name and so its seeds.
+func runSweep(w io.Writer, fs *flag.FlagSet, base scenario.Config, spec string, runs int, traced bool) error {
+	name, list, _ := strings.Cut(spec, "=")
+	if list == "" {
+		return fmt.Errorf("-sweep %q: want name=v1,v2,…", spec)
+	}
+	values := strings.Split(list, ",")
+	cfgs := make([]scenario.Config, len(values))
+	for i, raw := range values {
+		values[i] = strings.TrimSpace(raw)
+		cfgs[i] = base
+		err := cfgs[i].Protocol.Set(name, values[i])
+		if err == nil {
+			err = cfgs[i].Validate()
+		}
+		if err != nil {
+			return fmt.Errorf("-sweep %s=%s: %w", name, values[i], err)
+		}
+	}
+
+	fmt.Fprintf(w, "sweep of %s (%s) on %s, %d nodes, %d jobs, %d run(s) per value\n\n",
+		name, fs.Lookup(name).Usage, base.Name, base.Nodes, base.Submission.Count, runs)
+	fmt.Fprintf(w, "%-12s %-10s %-12s %-12s %-12s %-10s %-10s",
+		name, "completed", "waiting", "completion", "reschedules", "KB/node", "bps/node")
+	if traced {
+		fmt.Fprintf(w, " %-10s", "violations")
+	}
+	fmt.Fprintln(w)
+
+	var audits []trace.Report
+	for i, cfg := range cfgs {
+		var (
+			agg  *metrics.Aggregate
+			reps []trace.Report
+			err  error
+		)
+		if traced {
+			// Each value is audited against its own protocol bounds (a
+			// swept TTL is checked as the configured TTL), so a sweep
+			// cannot trip false flood-budget violations.
+			var results []*metrics.Result
+			results, reps, err = traceRuns(cfg, runs)
+			agg = metrics.NewAggregate(results)
+		} else {
+			agg, _, err = scenario.RunN(cfg, runs)
+		}
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "%-12s %-10.1f %-12s %-12s %-12.1f %-10.1f %-10.1f",
+			values[i], agg.Completed.Mean, meanDur(agg.AvgWaitingSec), meanDur(agg.AvgCompletionSec),
+			agg.Reschedules.Mean, agg.BytesPerNode.Mean/(1<<10), agg.BandwidthBPS.Mean)
+		if traced {
+			fmt.Fprintf(w, " %-10d", violations(reps))
+		}
+		fmt.Fprintln(w)
+		audits = append(audits, reps...)
+	}
+	return violationsErr(audits)
+}
+
+func meanDur(s stats.Summary) string {
+	return stats.SecondsToDuration(s.Mean).Round(time.Second).String()
 }
 
 // replayTrace runs the scenario's grid against a recorded SWF workload
@@ -232,7 +291,7 @@ func replayTrace(cfg scenario.Config, path string, maxJobs int, timeScale float6
 	if err != nil {
 		return nil, err
 	}
-	trace, err := swf.Parse(f)
+	swfTrace, err := swf.Parse(f)
 	if cerr := f.Close(); cerr != nil && err == nil {
 		err = cerr
 	}
@@ -246,7 +305,7 @@ func replayTrace(cfg scenario.Config, path string, maxJobs int, timeScale float6
 		if err != nil {
 			return nil, err
 		}
-		jobs, err := swf.Convert(trace, rand.New(rand.NewSource(d.Seed+11)), swf.ConvertOptions{
+		jobs, err := swf.Convert(swfTrace, rand.New(rand.NewSource(d.Seed+11)), swf.ConvertOptions{
 			MaxJobs:        maxJobs,
 			TimeScale:      timeScale,
 			SkipIncomplete: true,

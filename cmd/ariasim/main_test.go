@@ -119,3 +119,81 @@ func TestRunDOTExport(t *testing.T) {
 		t.Fatalf("DOT content wrong:\n%.200s", data)
 	}
 }
+
+func TestProtocolFlagArmsPlane(t *testing.T) {
+	var buf bytes.Buffer
+	if err := run(&buf, []string{"-scenario", "iMixed", "-scale", "0.03", "-directed-candidates", "3"}); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "directory:") {
+		t.Fatalf("-directed-candidates did not arm the directory:\n%s", buf.String())
+	}
+}
+
+func TestSweepInformJobs(t *testing.T) {
+	var buf bytes.Buffer
+	err := run(&buf, []string{"-sweep", "inform-jobs=1,2", "-scale", "0.03"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	if !strings.Contains(out, "sweep of inform-jobs") {
+		t.Fatalf("missing header:\n%s", out)
+	}
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	// header block (2 lines + blank) + one row per value.
+	var rows int
+	for _, line := range lines {
+		if strings.HasPrefix(line, "1 ") || strings.HasPrefix(line, "2 ") {
+			rows++
+		}
+	}
+	if rows != 2 {
+		t.Fatalf("rows = %d, want 2:\n%s", rows, out)
+	}
+}
+
+func TestSweepDurationParam(t *testing.T) {
+	var buf bytes.Buffer
+	err := run(&buf, []string{"-sweep", "threshold=1m,30m", "-scale", "0.03"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "30m") {
+		t.Fatalf("missing value row:\n%s", buf.String())
+	}
+}
+
+// TestSweepParamCatalog: every knob the sweep tool used to offer is still
+// sweepable by the same name.
+func TestSweepParamCatalog(t *testing.T) {
+	for _, spec := range []string{
+		"inform-interval=2m", "inform-jobs=1", "threshold=1m",
+		"request-fanout=2", "request-ttl=5", "accept-timeout=1s",
+	} {
+		var buf bytes.Buffer
+		if err := run(&buf, []string{"-sweep", spec, "-scale", "0.03"}); err != nil {
+			t.Errorf("-sweep %s: %v", spec, err)
+		}
+	}
+}
+
+func TestSweepErrors(t *testing.T) {
+	tests := [][]string{
+		{"-sweep", "nope=1"},
+		{"-sweep", "inform-jobs"},                               // no values
+		{"-sweep", "inform-jobs=x"},                             // unparsable
+		{"-sweep", "inform-jobs=1", "-scenario", "missing"},     // bad scenario
+		{"-sweep", "inform-jobs=1", "-scale", "9"},              // bad scale
+		{"-sweep", "request-ttl=0"},                             // invalid config
+		{"-sweep", "inform-interval=1m", "-definitely-not"},     // bad flag
+		{"-sweep", "inform-jobs=1", "-baseline", "centralized"}, // not a sweep of ARiA
+		{"-sweep", "scale=0.1"},                                 // not a protocol flag
+	}
+	for _, args := range tests {
+		var buf bytes.Buffer
+		if err := run(&buf, args); err == nil {
+			t.Errorf("run(%v) succeeded", args)
+		}
+	}
+}

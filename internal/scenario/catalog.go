@@ -258,9 +258,7 @@ func ExtensionScenarios() []Config {
 		LeaveCorpses: true,
 	}
 	churnHeal.Protocol.NotifyInitiator = true
-	churnHeal.Protocol.ProbeInterval = core.DefaultProbeInterval
-	churnHeal.Protocol.ProbeTimeout = core.DefaultProbeTimeout
-	churnHeal.Protocol.SuspectTimeout = core.DefaultSuspectTimeout
+	churnHeal.Protocol.ArmMembership()
 	churnHeal.Protocol.MaxDegree = 8
 	churnHeal.Protocol.ReFloodTTLStep = 2
 	out = append(out, churnHeal)
@@ -272,9 +270,7 @@ func ExtensionScenarios() []Config {
 		Kills: 50, Start: 30 * time.Minute, Interval: 2 * time.Minute,
 		LeaveCorpses: true,
 	}
-	lossyChurnHeal.Protocol.ProbeInterval = core.DefaultProbeInterval
-	lossyChurnHeal.Protocol.ProbeTimeout = core.DefaultProbeTimeout
-	lossyChurnHeal.Protocol.SuspectTimeout = core.DefaultSuspectTimeout
+	lossyChurnHeal.Protocol.ArmMembership()
 	lossyChurnHeal.Protocol.MaxDegree = 8
 	lossyChurnHeal.Protocol.ReFloodTTLStep = 2
 	out = append(out, lossyChurnHeal)
@@ -292,9 +288,7 @@ func ExtensionScenarios() []Config {
 		Restart:      5 * time.Second,
 	}
 	crashRestart.Protocol.NotifyInitiator = true
-	crashRestart.Protocol.ProbeInterval = core.DefaultProbeInterval
-	crashRestart.Protocol.ProbeTimeout = core.DefaultProbeTimeout
-	crashRestart.Protocol.SuspectTimeout = core.DefaultSuspectTimeout
+	crashRestart.Protocol.ArmMembership()
 	crashRestart.Protocol.MaxDegree = 8
 	crashRestart.Protocol.ReFloodTTLStep = 2
 	crashRestart.Journal = true
@@ -324,24 +318,13 @@ func ExtensionScenarios() []Config {
 	directed := Baseline()
 	directed.Name = "iDirected"
 	directed.Description = "iMixed with the gossip-fed resource directory: first discovery rounds probe up to 3 cached candidates with TTL-0 REQUESTs, flooding only on miss or starvation"
-	directed.Protocol.ProbeInterval = core.DefaultProbeInterval
-	directed.Protocol.ProbeTimeout = core.DefaultProbeTimeout
-	directed.Protocol.SuspectTimeout = core.DefaultSuspectTimeout
-	directed.Protocol.DirectedCandidates = core.DefaultDirectedCandidates
-	directed.Protocol.MinDirectedOffers = core.DefaultMinDirectedOffers
-	directed.Protocol.DirectoryCapacity = core.DefaultDirectoryCapacity
-	directed.Protocol.DirectoryTTL = core.DefaultDirectoryTTL
-	directed.Protocol.DirectoryGossip = core.DefaultDirectoryGossip
+	directed.Protocol.ArmDirectory()
 	out = append(out, directed)
 
 	directedChurn := churnHeal
 	directedChurn.Name = "iDirectedChurn"
 	directedChurn.Description = "iChurnHeal with the directory armed: suspicion evicts, dead verdicts tombstone, and no directed probe may ever target a corpse"
-	directedChurn.Protocol.DirectedCandidates = core.DefaultDirectedCandidates
-	directedChurn.Protocol.MinDirectedOffers = core.DefaultMinDirectedOffers
-	directedChurn.Protocol.DirectoryCapacity = core.DefaultDirectoryCapacity
-	directedChurn.Protocol.DirectoryTTL = core.DefaultDirectoryTTL
-	directedChurn.Protocol.DirectoryGossip = core.DefaultDirectoryGossip
+	directedChurn.Protocol.ArmDirectory()
 	out = append(out, directedChurn)
 
 	// Shared-state family: the optimistic-commit arm (Omega-style) replaces
@@ -355,28 +338,13 @@ func ExtensionScenarios() []Config {
 	sharedState := Baseline()
 	sharedState.Name = "iSharedState"
 	sharedState.Description = "iMixed on the shared-state optimistic arm: initiators commit jobs against their gossip-fed cluster view, providers grant or reply with typed CONFLICTs, and the flood fires only after the commit budget is exhausted"
-	sharedState.Protocol.ProbeInterval = core.DefaultProbeInterval
-	sharedState.Protocol.ProbeTimeout = core.DefaultProbeTimeout
-	sharedState.Protocol.SuspectTimeout = core.DefaultSuspectTimeout
-	sharedState.Protocol.DirectoryCapacity = core.DefaultDirectoryCapacity
-	sharedState.Protocol.DirectoryTTL = core.DefaultDirectoryTTL
-	sharedState.Protocol.DirectoryGossip = core.DefaultDirectoryGossip
-	sharedState.Protocol.SharedStateBound = core.DefaultSharedStateBound
-	sharedState.Protocol.SharedStateRetries = core.DefaultSharedStateRetries
-	sharedState.Protocol.CommitTimeout = core.DefaultCommitTimeout
-	sharedState.Protocol.CommitBackoff = core.DefaultCommitBackoff
+	sharedState.Protocol.ArmSharedState()
 	out = append(out, sharedState)
 
 	sharedStateChurn := churnHeal
 	sharedStateChurn.Name = "iSharedStateChurn"
 	sharedStateChurn.Description = "iChurnHeal on the shared-state arm: stale view entries draw CONFLICT(stale), silent corpses burn commit timeouts, and the flood fallback keeps completion independent of view quality"
-	sharedStateChurn.Protocol.DirectoryCapacity = core.DefaultDirectoryCapacity
-	sharedStateChurn.Protocol.DirectoryTTL = core.DefaultDirectoryTTL
-	sharedStateChurn.Protocol.DirectoryGossip = core.DefaultDirectoryGossip
-	sharedStateChurn.Protocol.SharedStateBound = core.DefaultSharedStateBound
-	sharedStateChurn.Protocol.SharedStateRetries = core.DefaultSharedStateRetries
-	sharedStateChurn.Protocol.CommitTimeout = core.DefaultCommitTimeout
-	sharedStateChurn.Protocol.CommitBackoff = core.DefaultCommitBackoff
+	sharedStateChurn.Protocol.ArmSharedState()
 	out = append(out, sharedStateChurn)
 
 	// Overload family: the grid is driven past steady-state capacity
