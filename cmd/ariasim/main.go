@@ -173,8 +173,17 @@ func runTraced(w io.Writer, cfg scenario.Config, runs int, tsv, series bool) err
 	if err != nil {
 		return err
 	}
+	return printTraced(w, results, reps, tsv, series)
+}
+
+// printTraced prints traced runs as TSV or as text with each run's report,
+// and in either format fails when an audit found violations.
+func printTraced(w io.Writer, results []*metrics.Result, reps []trace.Report, tsv, series bool) error {
 	if tsv {
-		return printTSV(w, results)
+		if err := printTSV(w, results); err != nil {
+			return err
+		}
+		return violationsErr(reps)
 	}
 	for run, res := range results {
 		printResult(w, run, res, series)
@@ -285,7 +294,9 @@ func meanDur(s stats.Summary) string {
 }
 
 // replayTrace runs the scenario's grid against a recorded SWF workload
-// instead of the synthetic job stream (paper future work §VI).
+// instead of the synthetic job stream (paper future work §VI). Jobs enter
+// through the scenario's own submission model, so under churn or admission
+// control a job that finds no live, willing portal is counted lost or shed.
 func replayTrace(cfg scenario.Config, path string, maxJobs int, timeScale float64, runs int) ([]*metrics.Result, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -315,13 +326,7 @@ func replayTrace(cfg scenario.Config, path string, maxJobs int, timeScale float6
 			return nil, err
 		}
 		for _, p := range jobs {
-			p := p
-			d.Engine.ScheduleAt(p.SubmittedAt, func() {
-				target := d.RandomNode()
-				if err := target.Submit(p); err != nil {
-					fmt.Fprintln(os.Stderr, "ariasim: trace submit:", err)
-				}
-			})
+			d.Engine.ScheduleAt(p.SubmittedAt, func() { scenario.ARiASubmit(d, p.SubmittedAt, p) })
 		}
 		// Let the trace tail drain.
 		if end := jobs[len(jobs)-1].SubmittedAt + 24*time.Hour; d.Config.Horizon < end {

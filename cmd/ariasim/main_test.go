@@ -2,10 +2,16 @@ package main
 
 import (
 	"bytes"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/smartgrid/aria/internal/metrics"
+	"github.com/smartgrid/aria/internal/scenario"
+	"github.com/smartgrid/aria/internal/swf"
+	"github.com/smartgrid/aria/internal/trace"
 )
 
 func TestListCatalog(t *testing.T) {
@@ -79,6 +85,52 @@ func TestRunSWFReplay(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "iMixed+swf") {
 		t.Fatalf("trace replay label missing:\n%s", buf.String())
+	}
+}
+
+// TestSWFReplayAccountsEverySubmission replays the sample trace under churn:
+// every converted job is submitted, lost or shed, none dropped unseen.
+func TestSWFReplayAccountsEverySubmission(t *testing.T) {
+	sample := filepath.Join("..", "..", "internal", "swf", "testdata", "sample.swf")
+	f, err := os.Open(sample)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := swf.Parse(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := swf.Convert(tr, rand.New(rand.NewSource(1)), swf.ConvertOptions{SkipIncomplete: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := scenario.ByName("iChurn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := replayTrace(cfg.Scaled(0.03), sample, 0, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := results[0]
+	if got := res.Submitted + res.SubmissionsLost + res.Overload.SubmissionsShed; got != len(jobs) {
+		t.Fatalf("submitted %d + lost %d + shed %d = %d, want the trace's %d jobs",
+			res.Submitted, res.SubmissionsLost, res.Overload.SubmissionsShed, got, len(jobs))
+	}
+}
+
+// TestTracedTSVFailsOnViolations: -trace -tsv prints the table and still
+// fails when an audit found a violation.
+func TestTracedTSVFailsOnViolations(t *testing.T) {
+	results := []*metrics.Result{{Scenario: "iMixed"}}
+	reps := []trace.Report{{Violations: []trace.Violation{{Invariant: "exactly-one-complete"}}}}
+	var buf bytes.Buffer
+	if err := printTraced(&buf, results, reps, true, false); err == nil {
+		t.Fatal("a violation passed through the TSV path")
+	}
+	if !strings.HasPrefix(buf.String(), "scenario\trun_seed") {
+		t.Fatalf("TSV not printed:\n%s", buf.String())
 	}
 }
 

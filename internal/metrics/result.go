@@ -112,8 +112,9 @@ type Result struct {
 	// counts; nil when no job completed.
 	MsgsPerJob map[core.MsgType]float64
 
-	// Spans counts trace-plane events per kind; nil unless the run was
-	// traced (scenario.Config.Trace).
+	// Spans counts trace-plane events per kind. The Recorder counts every
+	// span a node emits, traced run or not (scenario.Config.Trace only adds
+	// a collector that keeps the stream); nil when no span was emitted.
 	Spans map[core.SpanKind]int
 }
 

@@ -169,3 +169,32 @@ func TestOverloadControlBeatsUnbounded(t *testing.T) {
 			control.Completed, control.Submitted, control.Failed, control.CompletionP50, control.CompletionP99, control.CompletionMax)
 	}
 }
+
+// TestSubmissionShedWhenEveryPortalBounces fills every node's one discovery
+// slot, so each redrawn portal answers ErrOverloaded: the submission model
+// must count every such job as shed, and nothing else as submitted.
+func TestSubmissionShedWhenEveryPortalBounces(t *testing.T) {
+	c := smallScenario(t, "iOverload")
+	c.Protocol.MaxPendingSubmits = 1
+	d, err := Prepare(c, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := d.Cluster.Nodes()
+	for _, n := range nodes {
+		if err := n.Submit(d.Gen.Next(0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const bounced = 3
+	for range bounced {
+		ARiASubmit(d, 0, d.Gen.Next(0))
+	}
+	res := d.Finish()
+	if res.Overload.SubmissionsShed != bounced {
+		t.Fatalf("SubmissionsShed = %d, want %d", res.Overload.SubmissionsShed, bounced)
+	}
+	if res.Submitted != len(nodes) {
+		t.Fatalf("submitted %d, want one per node (%d)", res.Submitted, len(nodes))
+	}
+}
