@@ -38,17 +38,19 @@
 // # Tools and examples
 //
 // cmd/ariasim runs one catalog scenario; cmd/ariaeval regenerates every
-// figure; cmd/ariad and cmd/ariactl run a live TCP grid. The examples
-// directory holds four runnable walkthroughs (quickstart, deadline,
-// expanding, livegrid).
+// figure; cmd/ariad and cmd/ariactl run a live TCP grid. This package's
+// tested Examples (go test -run Example -v .) walk through a simulated
+// grid, a measured one, and a live one in real time.
 //
 // This package itself re-exports the types a downstream application needs
 // to embed a grid node or run simulations, so that the internal packages
-// remain free to evolve.
+// remain free to evolve. Its own tests import nothing under internal/, so
+// everything they do can be done from outside the module.
 package aria
 
 import (
 	"math/rand"
+	"time"
 
 	"github.com/smartgrid/aria/internal/core"
 	"github.com/smartgrid/aria/internal/job"
@@ -86,6 +88,13 @@ type (
 	JobRequirements = resource.Requirements
 	// JobProfile is the wire-visible description of a job.
 	JobProfile = job.Profile
+	// Job is a job's lifecycle record, as Observer.JobCompleted reports it.
+	Job = job.Job
+	// UUID identifies a job grid-wide.
+	UUID = job.UUID
+	// ARTModel is how a job's actual running time drifts from its
+	// estimate.
+	ARTModel = job.ARTModel
 	// Policy selects a local scheduling discipline.
 	Policy = sched.Policy
 
@@ -93,12 +102,36 @@ type (
 	SimEngine = sim.Engine
 	// SimCluster binds nodes to a simulation.
 	SimCluster = transport.SimCluster
-	// LiveCluster binds nodes to real time within one process.
+	// LiveCluster binds nodes to real time within one process. Its public
+	// surface is NewLiveCluster, AddNode, Connect, Node, StartAll and
+	// Close; see DESIGN.md.
 	LiveCluster = transport.InprocCluster
 	// Scenario is one Table II evaluation configuration.
 	Scenario = scenario.Config
 	// Result is the measured outcome of one run.
 	Result = metrics.Result
+	// Recorder is an Observer that measures a run: wire it to every node
+	// and to the cluster's traffic hook, then read its Result.
+	Recorder = metrics.Recorder
+	// MsgType names an ARiA message kind.
+	MsgType = core.MsgType
+)
+
+// The four protocol messages of the paper.
+const (
+	MsgRequest = core.MsgRequest
+	MsgAccept  = core.MsgAccept
+	MsgInform  = core.MsgInform
+	MsgAssign  = core.MsgAssign
+)
+
+// Platform and job-class constants for profiles and requirements.
+const (
+	ArchAMD64  = resource.ArchAMD64
+	OSLinux    = resource.OSLinux
+	ClassBatch = job.ClassBatch
+	// DriftNone makes every job run exactly its estimate.
+	DriftNone = job.DriftNone
 )
 
 // Local scheduling policies.
@@ -125,9 +158,24 @@ func NewNode(
 	env Env,
 	cfg Config,
 	obs Observer,
-	art job.ARTModel,
+	art ARTModel,
 ) (*Node, error) {
 	return core.NewNode(id, profile, policy, env, cfg, obs, art)
+}
+
+// DefaultARTModel is the paper's symmetric ±10 % running-time drift.
+func DefaultARTModel() ARTModel { return job.DefaultARTModel() }
+
+// NewUUID draws a job UUID from rng.
+func NewUUID(rng *rand.Rand) UUID { return job.NewUUID(rng) }
+
+// NewRecorder returns an empty run recorder.
+func NewRecorder() *Recorder { return metrics.NewRecorder() }
+
+// NewLiveCluster creates an empty real-time grid in this process whose
+// links all deliver after latency; seed feeds each node's random source.
+func NewLiveCluster(seed int64, latency time.Duration) *LiveCluster {
+	return transport.NewInprocCluster(seed, overlay.FixedLatency(latency))
 }
 
 // NewSimEngine creates a deterministic simulation kernel.

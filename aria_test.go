@@ -1,13 +1,43 @@
 package aria_test
 
 import (
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	aria "github.com/smartgrid/aria"
-	"github.com/smartgrid/aria/internal/job"
-	"github.com/smartgrid/aria/internal/resource"
 )
+
+// TestRootTestsUsePublicSurface keeps this package's tests, its Examples
+// above all, written as code outside the module could write them: they may
+// import the root package and the standard library, and nothing else.
+func TestRootTestsUsePublicSurface(t *testing.T) {
+	files, err := filepath.Glob("*_test.go")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no test files found (%v)", err)
+	}
+	fset := token.NewFileSet()
+	for _, name := range files {
+		f, err := parser.ParseFile(fset, name, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range f.Imports {
+			path, err := strconv.Unquote(imp.Path.Value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first, _, _ := strings.Cut(path, "/")
+			if path != "github.com/smartgrid/aria" && strings.Contains(first, ".") {
+				t.Errorf("%s imports %s; root tests may use only the aria package and the standard library", name, path)
+			}
+		}
+	}
+}
 
 func TestDefaultConfigValid(t *testing.T) {
 	cfg := aria.DefaultConfig()
@@ -40,13 +70,13 @@ func TestNewSimGridEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	profile := aria.NodeProfile{
-		Arch: resource.ArchAMD64, OS: resource.OSLinux,
+		Arch: aria.ArchAMD64, OS: aria.OSLinux,
 		MemoryGB: 8, DiskGB: 8, PerfIndex: 1.5,
 	}
 	cfg := aria.DefaultConfig()
 	var nodes []*aria.Node
 	for _, id := range grid.Graph().Nodes() {
-		n, err := grid.AddNode(id, profile, aria.FCFS, cfg, nil, job.DefaultARTModel())
+		n, err := grid.AddNode(id, profile, aria.FCFS, cfg, nil, aria.DefaultARTModel())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,11 +87,11 @@ func TestNewSimGridEndToEnd(t *testing.T) {
 	p := aria.JobProfile{
 		UUID: "0123456789abcdef0123456789abcdef",
 		Req: aria.JobRequirements{
-			Arch: resource.ArchAMD64, OS: resource.OSLinux,
+			Arch: aria.ArchAMD64, OS: aria.OSLinux,
 			MinMemoryGB: 1, MinDiskGB: 1,
 		},
 		ERT:   time.Hour,
-		Class: job.ClassBatch,
+		Class: aria.ClassBatch,
 	}
 	if err := nodes[0].Submit(p); err != nil {
 		t.Fatal(err)
