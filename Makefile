@@ -66,11 +66,12 @@ figs-check:
 	echo "figs-check: $$(ls "$$dir/figs" | wc -l) artifacts match results/"
 
 # fuzz gives the wire, journal, directory-digest, and gateway-body
-# codecs a short adversarial shake, and drives the directory store against
-# its reference copy (see internal/transport/codec_fuzz_test.go,
-# internal/wal/codec_fuzz_test.go, internal/directory/codec_fuzz_test.go,
-# internal/directory/store_fuzz_test.go, and cmd/ariagate/fuzz_test.go for
-# the seed corpora).
+# codecs a short adversarial shake, and drives the directory store and the
+# overlay graph against their reference copies (see
+# internal/transport/codec_fuzz_test.go, internal/wal/codec_fuzz_test.go,
+# internal/directory/codec_fuzz_test.go,
+# internal/directory/store_fuzz_test.go, internal/overlay/graph_test.go,
+# and cmd/ariagate/fuzz_test.go for the seed corpora).
 fuzz:
 	$(GO) test ./internal/transport/ -fuzz FuzzReadMessage -fuzztime 30s
 	$(GO) test ./internal/transport/ -fuzz FuzzFrameCorruption -fuzztime 30s
@@ -79,6 +80,7 @@ fuzz:
 	$(GO) test ./internal/wal/ -fuzz FuzzDecodeState -fuzztime 30s
 	$(GO) test ./internal/directory/ -fuzz FuzzDecodeDigests -fuzztime 30s
 	$(GO) test ./internal/directory/ -fuzz FuzzStoreDifferential -fuzztime 30s
+	$(GO) test ./internal/overlay/ -fuzz FuzzGraphDifferential -fuzztime 30s
 	$(GO) test ./cmd/ariagate/ -fuzz FuzzParseSpecs -fuzztime 30s
 
 # smoke mirrors the CI trace smokes: one traced repetition each of the

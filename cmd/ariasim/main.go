@@ -354,8 +354,12 @@ func printCatalog(w io.Writer) error {
 func printResult(w io.Writer, run int, res *metrics.Result, series bool) {
 	fmt.Fprintf(w, "scenario %s run %d (seed %d, %d nodes, horizon %v)\n",
 		res.Scenario, run, res.Seed, res.Nodes, res.Horizon)
-	fmt.Fprintf(w, "  jobs:        %d submitted, %d completed, %d failed\n",
+	fmt.Fprintf(w, "  jobs:        %d submitted, %d completed, %d failed",
 		res.Submitted, res.Completed, res.Failed)
+	if res.SubmissionsLost > 0 || res.Overload.SubmissionsShed > 0 {
+		fmt.Fprintf(w, "; %d submissions lost, %d shed", res.SubmissionsLost, res.Overload.SubmissionsShed)
+	}
+	fmt.Fprintln(w)
 	fmt.Fprintf(w, "  assignments: %d total, %d reschedules\n", res.Assignments, res.Reschedules)
 	fmt.Fprintf(w, "  times:       waiting %v, execution %v, completion %v\n",
 		res.AvgWaiting.Round(time.Second), res.AvgExecution.Round(time.Second),
@@ -377,6 +381,10 @@ func printResult(w io.Writer, run int, res *metrics.Result, series bool) {
 			res.Directory.Hits, res.Directory.Probes, res.Directory.Misses,
 			res.Directory.Fallbacks, res.Directory.EvictionTotal())
 	}
+	if o := res.Overload; o.Any() {
+		fmt.Fprintf(w, "  overload:    %d REQUESTs and %d ASSIGNs shed, %d BUSY received; %d reflooded, %d re-enqueued; %d submits rejected\n",
+			o.RequestsShed, o.AssignsShed, o.PeersBusy, o.Reflooded, o.Reenqueued, o.SubmitRejections)
+	}
 	if res.DeadlineJobs > 0 {
 		fmt.Fprintf(w, "  deadlines:   %d missed of %d; lateness %v, missed time %v\n",
 			res.MissedDeadlines, res.DeadlineJobs,
@@ -389,7 +397,7 @@ func printResult(w io.Writer, run int, res *metrics.Result, series bool) {
 			res.SharedState.ConflictTotal(), res.SharedState.ConflictRate(),
 			res.SharedState.Fallbacks)
 	}
-	for _, typ := range []core.MsgType{core.MsgRequest, core.MsgAccept, core.MsgInform, core.MsgAssign, core.MsgNotify, core.MsgCancel, core.MsgAssignAck, core.MsgCommit, core.MsgConflict} {
+	for typ := core.MsgRequest; typ.Valid(); typ++ {
 		t, ok := res.Traffic[typ]
 		if !ok {
 			continue

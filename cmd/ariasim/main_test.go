@@ -120,6 +120,50 @@ func TestSWFReplayAccountsEverySubmission(t *testing.T) {
 	}
 }
 
+// TestTextReportShowsOverload: a run that sheds load says so in the text
+// report, with a BUSY traffic row and an overload line, and its traffic
+// rows account for every byte of the overhead total.
+func TestTextReportShowsOverload(t *testing.T) {
+	cfg, err := scenario.ByName("iOverload")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, results, err := scenario.RunN(cfg.Scaled(0.03), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := results[0]
+	var buf bytes.Buffer
+	printResult(&buf, 0, res, false)
+	out := buf.String()
+	if !strings.Contains(out, "\n  overload:") {
+		t.Errorf("no overload line:\n%s", out)
+	}
+	byName := make(map[string]metrics.Traffic, len(res.Traffic))
+	for typ, tr := range res.Traffic {
+		byName[typ.String()] = tr
+	}
+	rows, sum := map[string]bool{}, int64(0)
+	for _, line := range strings.Split(out, "\n") {
+		fields := strings.Fields(line)
+		if len(fields) < 2 || fields[0] != "traffic:" {
+			continue
+		}
+		tr, ok := byName[fields[1]]
+		if !ok || rows[fields[1]] {
+			t.Fatalf("traffic row %q names no traffic of the run, or repeats", line)
+		}
+		rows[fields[1]] = true
+		sum += tr.Bytes
+	}
+	if !rows["BUSY"] {
+		t.Errorf("no BUSY traffic row:\n%s", out)
+	}
+	if sum != res.TotalBytes {
+		t.Errorf("traffic rows sum to %d bytes, overhead total is %d:\n%s", sum, res.TotalBytes, out)
+	}
+}
+
 // TestTracedTSVFailsOnViolations: -trace -tsv prints the table and still
 // fails when an audit found a violation.
 func TestTracedTSVFailsOnViolations(t *testing.T) {

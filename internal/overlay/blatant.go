@@ -2,6 +2,7 @@ package overlay
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -60,6 +61,16 @@ func (c BlatantConfig) Validate() error {
 		return fmt.Errorf("ants per round %d must be positive", c.AntsPerRound)
 	}
 	return nil
+}
+
+// hopBound is the largest whole hop count within TargetPathLength: a pair
+// is distant exactly when its hop distance exceeds it. An infinite or NaN
+// target bounds nothing, so only disconnected pairs count as distant.
+func (c BlatantConfig) hopBound() int {
+	if !(c.TargetPathLength < math.MaxInt32) {
+		return math.MaxInt
+	}
+	return int(c.TargetPathLength)
 }
 
 // Blatant maintains an overlay graph with bounded average path length and a
@@ -158,15 +169,16 @@ func (b *Blatant) Round() (added, removed int) {
 	if len(nodes) < 2 {
 		return 0, 0
 	}
+	bound := b.cfg.hopBound()
 	for i := 0; i < b.cfg.AntsPerRound; i++ {
 		u := nodes[b.rng.Intn(len(nodes))]
 		v := nodes[b.rng.Intn(len(nodes))]
 		if u == v {
 			continue
 		}
-		d := b.graph.Distance(u, v)
+		d := b.graph.distanceWithin(u, v, bound)
 		switch {
-		case d < 0 || float64(d) > b.cfg.TargetPathLength:
+		case d < 0:
 			// Distant or disconnected pair: add a shortcut.
 			if b.graph.AddLink(u, v) {
 				added++
@@ -189,8 +201,7 @@ func (b *Blatant) pruneIfRedundant(u, v NodeID) bool {
 		return false
 	}
 	b.graph.RemoveLink(u, v)
-	d := b.graph.Distance(u, v)
-	if d < 0 || float64(d) > b.cfg.TargetPathLength {
+	if b.graph.distanceWithin(u, v, b.cfg.hopBound()) < 0 {
 		// Not redundant after all: restore.
 		b.graph.AddLink(u, v)
 		return false

@@ -7,6 +7,10 @@
 // The paper's evaluation overlay has 500 nodes, a target average path
 // length of 9 hops, and an attained mean degree of about 4; the manager in
 // this package reproduces that envelope.
+//
+// Node IDs must be non-negative: a Graph stores adjacency in slices indexed
+// by ID, so its memory is O(largest ID), and every deployment numbers its
+// nodes 0…n-1.
 package overlay
 
 import (
@@ -26,43 +30,68 @@ func (n NodeID) String() string {
 
 // Graph is an undirected graph of overlay links.
 //
+// Storage is dense: adjacency lives in slices indexed by NodeID, so IDs
+// must be non-negative (AddNode panics on a negative one) and memory grows
+// with the largest ID ever added, not with the node count.
+//
 // Neighbor sets are kept sorted so that all iteration — and therefore every
 // simulation built on top — is deterministic. Graph is not safe for
-// concurrent use.
+// concurrent use; Distance, Distances, Connected and SamplePathStats reuse
+// search scratch owned by the graph, so even those reads must not overlap.
 type Graph struct {
-	adj   map[NodeID][]NodeID
-	links int
+	adj     [][]NodeID
+	present []bool
+	nodes   int
+	links   int
+
+	// Breadth-first search scratch: mark[v] holds the generation stamp of
+	// the last search that reached v, so a search starts in O(1) without
+	// clearing anything. queue and back hold the frontiers.
+	mark  []uint32
+	gen   uint32
+	queue []NodeID
+	back  []NodeID
 }
 
 // NewGraph returns an empty graph.
 func NewGraph() *Graph {
-	return &Graph{adj: make(map[NodeID][]NodeID)}
+	return &Graph{}
 }
 
-// AddNode inserts an isolated node; it is a no-op if the node exists.
+// AddNode inserts an isolated node; it is a no-op if the node exists. It
+// panics on a negative ID.
 func (g *Graph) AddNode(id NodeID) {
-	if _, ok := g.adj[id]; !ok {
-		g.adj[id] = nil
+	if id < 0 {
+		panic(fmt.Sprintf("overlay: negative node ID %d", int32(id)))
+	}
+	if n := int(id) + 1; n > len(g.adj) {
+		g.adj = append(g.adj, make([][]NodeID, n-len(g.adj))...)
+		g.present = append(g.present, make([]bool, n-len(g.present))...)
+	}
+	if !g.present[id] {
+		g.present[id] = true
+		g.nodes++
 	}
 }
 
 // HasNode reports whether id is in the graph.
 func (g *Graph) HasNode(id NodeID) bool {
-	_, ok := g.adj[id]
-	return ok
+	return id >= 0 && int(id) < len(g.present) && g.present[id]
 }
 
 // RemoveNode deletes a node and all its links. It reports whether the node
 // was present.
 func (g *Graph) RemoveNode(id NodeID) bool {
-	neighbors, ok := g.adj[id]
-	if !ok {
+	if !g.HasNode(id) {
 		return false
 	}
-	for _, nb := range append([]NodeID(nil), neighbors...) {
-		g.RemoveLink(id, nb)
+	for _, nb := range g.adj[id] {
+		g.adj[nb] = removeSorted(g.adj[nb], id)
 	}
-	delete(g.adj, id)
+	g.links -= len(g.adj[id])
+	g.adj[id] = nil
+	g.present[id] = false
+	g.nodes--
 	return true
 }
 
@@ -102,12 +131,18 @@ func (g *Graph) RemoveLink(a, b NodeID) bool {
 
 // HasLink reports whether a and b are directly connected.
 func (g *Graph) HasLink(a, b NodeID) bool {
-	nbs, ok := g.adj[a]
-	if !ok {
-		return false
-	}
+	nbs := g.neighbors(a)
 	i := sort.Search(len(nbs), func(i int) bool { return nbs[i] >= b })
 	return i < len(nbs) && nbs[i] == b
+}
+
+// neighbors returns the graph's own neighbor list of id (nil for an absent
+// node); callers must not modify it.
+func (g *Graph) neighbors(id NodeID) []NodeID {
+	if id < 0 || int(id) >= len(g.adj) {
+		return nil
+	}
+	return g.adj[id]
 }
 
 // Neighbors returns a copy of a node's neighbor list, in ascending ID order.
@@ -119,17 +154,17 @@ func (g *Graph) Neighbors(id NodeID) []NodeID {
 // and returns the extended slice. Passing a reused dst[:0] makes the read
 // allocation-free; dst never aliases the graph's own storage.
 func (g *Graph) AppendNeighbors(dst []NodeID, id NodeID) []NodeID {
-	return append(dst, g.adj[id]...)
+	return append(dst, g.neighbors(id)...)
 }
 
 // Degree reports the number of links at a node.
 func (g *Graph) Degree(id NodeID) int {
-	return len(g.adj[id])
+	return len(g.neighbors(id))
 }
 
 // NumNodes reports the number of nodes.
 func (g *Graph) NumNodes() int {
-	return len(g.adj)
+	return g.nodes
 }
 
 // NumLinks reports the number of undirected links.
@@ -139,26 +174,27 @@ func (g *Graph) NumLinks() int {
 
 // Nodes returns all node IDs in ascending order.
 func (g *Graph) Nodes() []NodeID {
-	out := make([]NodeID, 0, len(g.adj))
-	for id := range g.adj {
-		out = append(out, id)
+	out := make([]NodeID, 0, g.nodes)
+	for id, ok := range g.present {
+		if ok {
+			out = append(out, NodeID(id))
+		}
 	}
-	sort.Slice(out, func(i, k int) bool { return out[i] < out[k] })
 	return out
 }
 
 // MeanDegree reports the average node degree (2·links/nodes).
 func (g *Graph) MeanDegree() float64 {
-	if len(g.adj) == 0 {
+	if g.nodes == 0 {
 		return 0
 	}
-	return 2 * float64(g.links) / float64(len(g.adj))
+	return 2 * float64(g.links) / float64(g.nodes)
 }
 
 // RandomNeighbors draws up to k distinct neighbors of id uniformly at
 // random, excluding the IDs in skip.
 func (g *Graph) RandomNeighbors(rng *rand.Rand, id NodeID, k int, skip map[NodeID]bool) []NodeID {
-	nbs := g.adj[id]
+	nbs := g.neighbors(id)
 	if len(nbs) == 0 || k <= 0 {
 		return nil
 	}

@@ -1,51 +1,128 @@
 package overlay
 
-import "math/rand"
+import (
+	"math"
+	"math/rand"
+	"slices"
+)
+
+// stamp reserves k fresh generation values for one search and returns the
+// first; no node's mark equals any of them until the search sets it. It
+// also grows mark to cover every node added since the last search.
+func (g *Graph) stamp(k uint32) uint32 {
+	if n := len(g.adj); len(g.mark) < n {
+		g.mark = append(g.mark, make([]uint32, n-len(g.mark))...)
+	}
+	if g.gen > math.MaxUint32-k {
+		clear(g.mark)
+		g.gen = 0
+	}
+	first := g.gen + 1
+	g.gen += k
+	return first
+}
+
+// sweep runs a breadth-first search from src over the graph's scratch and
+// calls level(d, frontier) for every depth d ≥ 0 with the nodes first
+// reached at that depth (src alone at depth 0). frontier aliases the
+// scratch and is valid only during the call.
+func (g *Graph) sweep(src NodeID, level func(d int, frontier []NodeID)) {
+	if !g.HasNode(src) {
+		return
+	}
+	seen := g.stamp(1)
+	g.mark[src] = seen
+	queue := append(g.queue[:0], src)
+	for d, start := 0, 0; start < len(queue); d++ {
+		end := len(queue)
+		level(d, queue[start:end])
+		for _, u := range queue[start:end] {
+			for _, v := range g.adj[u] {
+				if g.mark[v] != seen {
+					g.mark[v] = seen
+					queue = append(queue, v)
+				}
+			}
+		}
+		start = end
+	}
+	g.queue = queue
+}
 
 // Distances runs a breadth-first search from src and returns the hop count
 // to every reachable node (including src at 0).
 func (g *Graph) Distances(src NodeID) map[NodeID]int {
-	dist := make(map[NodeID]int, len(g.adj))
-	if !g.HasNode(src) {
-		return dist
-	}
-	dist[src] = 0
-	queue := []NodeID{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range g.adj[u] {
-			if _, seen := dist[v]; !seen {
-				dist[v] = dist[u] + 1
-				queue = append(queue, v)
-			}
+	dist := make(map[NodeID]int, g.nodes)
+	g.sweep(src, func(d int, frontier []NodeID) {
+		for _, v := range frontier {
+			dist[v] = d
 		}
-	}
+	})
 	return dist
 }
 
 // Distance reports the hop count between a and b, or -1 when unreachable.
 func (g *Graph) Distance(a, b NodeID) int {
+	return g.distanceWithin(a, b, math.MaxInt)
+}
+
+// distanceWithin reports the hop count between a and b when it is at most
+// maxHops, and -1 when it is larger or b is unreachable. The answer is
+// exact: a bidirectional breadth-first search grows whole levels of the
+// smaller of the two balls, and the first link from one ball into the
+// other closes a shortest path. While the balls of radius ra and rb are
+// disjoint and unlinked, every path is longer than ra+rb, so the search
+// stops once ra+rb reaches maxHops.
+func (g *Graph) distanceWithin(a, b NodeID, maxHops int) int {
+	if !g.HasNode(a) || !g.HasNode(b) {
+		return -1
+	}
 	if a == b {
-		if g.HasNode(a) {
-			return 0
+		return 0
+	}
+	markA := g.stamp(2)
+	markB := markA + 1
+	g.mark[a], g.mark[b] = markA, markB
+	qa, qb := append(g.queue[:0], a), append(g.back[:0], b)
+	fa, fb := 0, 0 // start of each ball's outer level in qa, qb
+	d := -1
+search:
+	for r := 0; r < maxHops; r++ { // r = ra + rb
+		own, other, q, f := markA, markB, &qa, &fa
+		if len(qb)-fb < len(qa)-fa {
+			own, other, q, f = markB, markA, &qb, &fb
 		}
-		return -1
+		end := len(*q)
+		for _, u := range (*q)[*f:end] {
+			for _, v := range g.adj[u] {
+				switch g.mark[v] {
+				case other:
+					d = r + 1
+					break search
+				case own: // already in this ball
+				default:
+					g.mark[v] = own
+					*q = append(*q, v)
+				}
+			}
+		}
+		if *f = end; end == len(*q) {
+			break // this ball is a whole component without the other end
+		}
 	}
-	d, ok := g.Distances(a)[b]
-	if !ok {
-		return -1
-	}
+	g.queue, g.back = qa, qb
 	return d
 }
 
 // Connected reports whether every node is reachable from every other.
 func (g *Graph) Connected() bool {
-	nodes := g.Nodes()
-	if len(nodes) <= 1 {
+	if g.nodes <= 1 {
 		return true
 	}
-	return len(g.Distances(nodes[0])) == len(nodes)
+	first := NodeID(slices.Index(g.present, true))
+	reached := 0
+	g.sweep(first, func(_ int, frontier []NodeID) { reached += len(frontier) })
+	return reached == g.nodes
 }
 
 // PathStats summarizes the hop-distance structure of the graph.
@@ -81,18 +158,17 @@ func (g *Graph) SamplePathStats(rng *rand.Rand, samples int) PathStats {
 	}
 	var totalHops, pairs int
 	for _, src := range sources {
-		dist := g.Distances(src)
-		for _, d := range dist {
+		reached := 0
+		g.sweep(src, func(d int, frontier []NodeID) {
+			reached += len(frontier)
 			if d == 0 {
-				continue
+				return
 			}
-			totalHops += d
-			pairs++
-			if d > stats.Diameter {
-				stats.Diameter = d
-			}
-		}
-		stats.Unreachable += len(nodes) - len(dist)
+			totalHops += d * len(frontier)
+			pairs += len(frontier)
+			stats.Diameter = max(stats.Diameter, d)
+		})
+		stats.Unreachable += len(nodes) - reached
 	}
 	stats.Sources = len(sources)
 	if pairs > 0 {

@@ -63,7 +63,7 @@ func (c *InprocCluster) EnableJournaling() {
 }
 
 // AddNode creates and registers a live node. Links are added separately via
-// Connect.
+// Connect. IDs must be non-negative: the overlay graph indexes by them.
 func (c *InprocCluster) AddNode(
 	id overlay.NodeID,
 	profile resource.Profile,
@@ -72,6 +72,9 @@ func (c *InprocCluster) AddNode(
 	obs core.Observer,
 	art job.ARTModel,
 ) (*core.Node, error) {
+	if id < 0 {
+		return nil, fmt.Errorf("add node: negative ID %d", int32(id))
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, dup := c.nodes[id]; dup {
